@@ -304,17 +304,6 @@ func stringKeyAt(rowLeaves [][]dht.NodeID, covers [][]int32, row int) string {
 	return string(buf)
 }
 
-// fnv64a is the partitioning hash for string bin keys.
-func fnv64a(s string) uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
-}
-
 // jointMinBin computes the minimum non-empty joint bin size of the table
 // under the per-column frontiers. weights nil counts every position once;
 // otherwise position i contributes weights[i].
@@ -354,99 +343,6 @@ func jointMinBin(rowLeaves [][]dht.NodeID, covers [][]int32, weights []int) int 
 		}
 	}
 	return min
-}
-
-// scanViolating computes, under the current covers, the per-column sets
-// of frontier members (dense, indexed like gen.Nodes()) participating in
-// bins below k. The table scan is sharded over workers and the bin
-// counts are partitioned by key hash so the merge parallelizes too; bin
-// counting is a (weight) sum and member collection a set union — both
-// order-independent — so every worker count yields the same sets.
-// weights nil counts every position once.
-func scanViolating[K comparable](ctx context.Context, workers, k int, rowLeaves [][]dht.NodeID, covers [][]int32, weights []int, sizes []int, keyAt func(row int) K, hashOf func(K) uint64) ([][]bool, error) {
-	rows := len(rowLeaves[0])
-	chunks := pool.Chunks(workers, rows)
-	nParts := len(chunks)
-	keys := make([]K, rows)
-
-	// Pass 1: every shard counts its rows into per-partition maps.
-	shardParts := make([][]map[K]int, nParts)
-	if err := pool.ForEachChunkCtx(ctx, workers, rows, func(si, lo, hi int) error {
-		parts := make([]map[K]int, nParts)
-		for p := range parts {
-			parts[p] = make(map[K]int, (hi-lo)/(4*nParts)+1)
-		}
-		for row := lo; row < hi; row++ {
-			if err := pool.CtxAt(ctx, row-lo); err != nil {
-				return err
-			}
-			key := keyAt(row)
-			keys[row] = key
-			w := 1
-			if weights != nil {
-				w = weights[row]
-			}
-			parts[hashOf(key)%uint64(nParts)][key] += w
-		}
-		shardParts[si] = parts
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Pass 2: merge each partition across shards — partitions are
-	// disjoint key sets, so they merge concurrently.
-	counts := make([]map[K]int, nParts)
-	if err := pool.ForEachCtx(ctx, workers, nParts, func(p int) error {
-		merged := shardParts[0][p]
-		for si := 1; si < nParts; si++ {
-			for key, n := range shardParts[si][p] {
-				merged[key] += n
-			}
-		}
-		counts[p] = merged
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Pass 3: collect, per column, the frontier members of violating
-	// rows into dense shard-local bitmaps, then OR them together.
-	shardViol := make([][][]bool, nParts)
-	if err := pool.ForEachChunkCtx(ctx, workers, rows, func(si, lo, hi int) error {
-		viol := make([][]bool, len(covers))
-		for ci := range viol {
-			viol[ci] = make([]bool, sizes[ci])
-		}
-		for row := lo; row < hi; row++ {
-			if err := pool.CtxAt(ctx, row-lo); err != nil {
-				return err
-			}
-			key := keys[row]
-			if counts[hashOf(key)%uint64(nParts)][key] < k {
-				for ci := range covers {
-					if mi := covers[ci][rowLeaves[ci][row]]; mi >= 0 {
-						viol[ci][mi] = true
-					}
-				}
-			}
-		}
-		shardViol[si] = viol
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	violating := shardViol[0]
-	for _, shard := range shardViol[1:] {
-		for ci := range violating {
-			for mi, v := range shard[ci] {
-				if v {
-					violating[ci][mi] = true
-				}
-			}
-		}
-	}
-	return violating, nil
 }
 
 // avgSpecificityLoss averages (N−Ng)/N across the chosen frontiers.
@@ -561,132 +457,6 @@ func multiExhaustive(
 	out := make(map[string]dht.GenSet, len(cols))
 	for ci, col := range cols {
 		out[col] = perCol[ci][idx[ci]]
-	}
-	return out, *stats, nil
-}
-
-// multiGreedyRescan is the row-rescan reference ascent: every iteration
-// re-derives the violating members with a full-table scan. It remains
-// the fallback for degenerate tree sets whose joint NodeID radix
-// overflows uint64, and the differential oracle the incremental ascent
-// (multiGreedy) is tested against.
-func multiGreedyRescan(
-	ctx context.Context,
-	cols []string,
-	mingends, maxgends map[string]dht.GenSet,
-	k, workers int,
-	rowLeaves [][]dht.NodeID,
-	weights []int,
-	stats *MultiStats,
-) (map[string]dht.GenSet, MultiStats, error) {
-	cur := make([]dht.GenSet, len(cols))
-	for ci, col := range cols {
-		cur[ci] = mingends[col]
-	}
-	covers := make([][]int32, len(cols))
-	for ci := range cur {
-		covers[ci] = coverTable(cur[ci])
-	}
-
-	for {
-		// Identify the members (per column) participating in bins under
-		// k. The lattice ascent is inherently iterative — every merge
-		// depends on the previous one — but each iteration's full-table
-		// scan shards across workers with a deterministic merge.
-		sizes := make([]int, len(cur))
-		for ci := range cur {
-			sizes[ci] = cur[ci].Len()
-		}
-		var violating [][]bool
-		var err error
-		if bases, fits := binKeyBases(covers); fits {
-			violating, err = scanViolating(ctx, workers, k, rowLeaves, covers, weights, sizes, func(row int) uint64 {
-				return radixKeyAt(rowLeaves, covers, bases, row)
-			}, func(key uint64) uint64 { return key })
-		} else {
-			violating, err = scanViolating(ctx, workers, k, rowLeaves, covers, weights, sizes, func(row int) string {
-				return stringKeyAt(rowLeaves, covers, row)
-			}, fnv64a)
-		}
-		if err != nil {
-			return nil, *stats, err
-		}
-		anyViolation := false
-		for _, col := range violating {
-			for _, v := range col {
-				if v {
-					anyViolation = true
-					break
-				}
-			}
-		}
-		if !anyViolation {
-			break
-		}
-
-		// Candidate moves: merge a parent whose children are all frontier
-		// members, staying within the maximal nodes. Prefer moves whose
-		// merged member covers a violating bin; among those, the smallest
-		// specificity-loss increase; deterministic tie-break.
-		type move struct {
-			ci     int
-			parent dht.NodeID
-			delta  float64
-			helps  bool
-		}
-		var bestMove *move
-		better := func(a, b *move) bool {
-			if a.helps != b.helps {
-				return a.helps
-			}
-			if a.delta != b.delta {
-				return a.delta < b.delta
-			}
-			if a.ci != b.ci {
-				return a.ci < b.ci
-			}
-			return a.parent < b.parent
-		}
-		for ci, col := range cols {
-			tree := cur[ci].Tree()
-			memberIndex := make(map[dht.NodeID]int32, cur[ci].Len())
-			for mi, m := range cur[ci].Nodes() {
-				memberIndex[m] = int32(mi)
-			}
-			for _, p := range cur[ci].MergeCandidates() {
-				if _, ok := maxgends[col].CoverOf(p); !ok {
-					continue // would climb past the usage metrics
-				}
-				helps := false
-				for _, c := range tree.Children(p) {
-					if violating[ci][memberIndex[c]] {
-						helps = true
-						break
-					}
-				}
-				delta := float64(len(tree.Children(p))-1) / float64(tree.NumLeaves())
-				m := &move{ci: ci, parent: p, delta: delta, helps: helps}
-				if bestMove == nil || better(m, bestMove) {
-					bestMove = m
-				}
-			}
-		}
-		if bestMove == nil {
-			return nil, *stats, fmt.Errorf(
-				"binning: greedy ascent exhausted at k=%d without satisfying k-anonymity: %w", k, ErrUnsatisfiable)
-		}
-		next, err := cur[bestMove.ci].MergeAt(bestMove.parent)
-		if err != nil {
-			return nil, *stats, fmt.Errorf("binning: internal: %w", err)
-		}
-		cur[bestMove.ci] = next
-		covers[bestMove.ci] = coverTable(next)
-		stats.GreedyMerges++
-	}
-
-	out := make(map[string]dht.GenSet, len(cols))
-	for ci, col := range cols {
-		out[col] = cur[ci]
 	}
 	return out, *stats, nil
 }
