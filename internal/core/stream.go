@@ -23,7 +23,9 @@ import (
 // relation.TableSegments (an in-memory table) both satisfy it.
 //
 // Segments may share dictionary backing (as SegmentReader's do); the
-// consumers below never mutate a yielded segment in place.
+// consumers below never mutate a yielded segment in place. ApplyStream
+// and AppendStream call Next from a goroutine of their own, one call
+// at a time, and never after they return.
 type Segments interface {
 	Schema() *relation.Schema
 	Next() (*relation.Table, error)
@@ -88,101 +90,36 @@ func addEmbed(dst *watermark.EmbedStats, s watermark.EmbedStats) {
 // replay — ApplyStream reports ErrUnsatisfiable instead (re-plan with
 // Config.BoundaryPermutation, or use the in-memory ApplyContext).
 //
+// src.Next runs on another goroutine, one segment ahead of the
+// transform, and out is written from another goroutine: out must not
+// be touched until the call returns. Neither runs after it returns.
 // On any error the CSV already written to out is partial and must be
 // discarded by the caller.
 func (f *Framework) ApplyStream(ctx context.Context, src Segments, plan *Plan, key crypt.WatermarkKey, out io.Writer) (*Streamed, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if src == nil {
-		return nil, fmt.Errorf("core: nil segment source: %w", ErrBadConfig)
-	}
-	if plan == nil {
-		return nil, fmt.Errorf("core: nil plan: %w", ErrBadProvenance)
-	}
-	if err := plan.Validate(); err != nil {
-		return nil, err
-	}
-	if err := key.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadKey)
-	}
-	cipher, err := crypt.NewCipher(key.Enc)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadKey)
-	}
-	schema := src.Schema()
-	identCol := plan.IdentCol
-	if _, err := schema.Index(identCol); err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadSchema)
-	}
-	if err := checkQuasiCols(schema, plan); err != nil {
-		return nil, err
-	}
-	columns, err := f.SpecsFromProvenance(plan.Provenance)
+	job, err := f.newStreamJob(ctx, src, plan, key)
 	if err != nil {
 		return nil, err
 	}
-	ultiGens := make(map[string]dht.GenSet, len(columns))
-	for col, spec := range columns {
-		ultiGens[col] = spec.UltiGen
-	}
-	params, err := paramsFromProvenance(plan.Provenance, key)
-	if err != nil {
-		return nil, err
-	}
-	params.Workers = f.cfg.Workers
-	quasi := schema.QuasiColumns()
-
-	res := &Streamed{}
-	sw := relation.NewSegmentWriter(out, schema)
+	res, params := job.res, job.params
 	before := make(map[string]int)
-	after := make(map[string]int)
-	for {
-		seg, err := src.Next()
-		if err == io.EOF {
-			break
-		}
+	res.Rows, res.Segments, err = pipeSegments(ctx, src, out, func(seg *relation.Table) (*relation.Table, error) {
+		work, err := job.suppress(seg)
 		if err != nil {
 			return nil, err
 		}
-		work := seg
-		if len(plan.Suppress) > 0 {
-			work = seg.Clone()
-			n, err := binning.Suppress(work, f.trees, plan.Suppress)
-			if err != nil {
-				return nil, fmt.Errorf("core: replaying plan suppression: %w: %w", err, ErrBadProvenance)
-			}
-			res.Suppressed += n
-		}
-		// The per-segment k check is disabled (effective k 0): a
-		// segment's bins may be thin as long as the combined table is
-		// safe — verified below, at end-of-stream.
-		binned, err := binning.TransformContext(ctx, work, ultiGens, 0, cipher, f.cfg.Workers)
+		binned, err := job.transform(ctx, work)
 		if err != nil {
 			return nil, err
 		}
-		if err := addBins(before, binned, quasi); err != nil {
+		if err := addBins(before, binned, job.quasi); err != nil {
 			return nil, err
 		}
-		// The embed mutates the (private) transform output in place; the
-		// per-row walk depends only on the encrypted identifier cell, so
-		// segmentation cannot change which bits land where.
-		segStats, err := watermark.EmbedContext(ctx, binned, identCol, columns, params)
-		if err != nil {
+		if err := job.embed(ctx, binned); err != nil {
 			return nil, err
 		}
-		addEmbed(&res.Embed, segStats)
-		if err := addBins(after, binned, quasi); err != nil {
-			return nil, err
-		}
-		if err := sw.WriteSegment(binned); err != nil {
-			return nil, err
-		}
-		res.Rows += binned.NumRows()
-		res.Segments++
-		reportProgress(ctx, Progress{Stage: "stream", Done: res.Rows})
-	}
-	if err := sw.Flush(); err != nil {
+		return binned, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -209,7 +146,7 @@ func (f *Framework) ApplyStream(ctx context.Context, src Segments, plan *Plan, k
 			params.BoundaryPermutation = true
 		}
 	}
-	res.BinStats = anonymity.Compare(before, after, plan.K)
+	res.BinStats = anonymity.Compare(before, job.after, plan.K)
 	if res.BinStats.BelowK > 0 && !params.BoundaryPermutation {
 		return nil, fmt.Errorf(
 			"core: watermarking pushed %d bins below k=%d; increase Epsilon or enable AutoEpsilon: %w",
@@ -219,7 +156,7 @@ func (f *Framework) ApplyStream(ctx context.Context, src Segments, plan *Plan, k
 	eff := *plan
 	eff.rt = nil
 	eff.BoundaryPermutation = params.BoundaryPermutation
-	eff.Bins = after
+	eff.Bins = job.after
 	eff.Rows = res.Rows
 	res.Plan = eff
 	return res, nil
@@ -233,100 +170,43 @@ func (f *Framework) ApplyStream(ctx context.Context, src Segments, plan *Plan, k
 // the whole delta. The emitted CSV is byte-identical to WriteCSV of
 // AppendContext's table on the same rows.
 //
+// src.Next runs on another goroutine, one segment ahead of the
+// transform, and out is written from another goroutine: out must not
+// be touched until the call returns. Neither runs after it returns.
 // On any error — including the end-of-stream ErrPlanDrift verdict — the
 // CSV already written to out is partial (or unsafe to publish) and must
 // be discarded by the caller.
 func (f *Framework) AppendStream(ctx context.Context, src Segments, plan *Plan, key crypt.WatermarkKey, out io.Writer) (*Streamed, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if src == nil {
-		return nil, fmt.Errorf("core: nil segment source: %w", ErrBadConfig)
-	}
-	if plan == nil {
-		return nil, fmt.Errorf("core: nil plan: %w", ErrBadProvenance)
-	}
-	if err := plan.Validate(); err != nil {
+	job, err := f.newStreamJob(ctx, src, plan, key)
+	if err != nil {
 		return nil, err
 	}
 	if len(plan.Bins) == 0 {
 		return nil, fmt.Errorf(
 			"core: plan carries no published bin record; apply it first (ApplyContext/ProtectContext) and retain the returned plan: %w", ErrBadProvenance)
 	}
-	if err := key.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadKey)
-	}
-	cipher, err := crypt.NewCipher(key.Enc)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadKey)
-	}
-	schema := src.Schema()
-	if _, err := schema.Index(plan.IdentCol); err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadSchema)
-	}
-	if err := checkQuasiCols(schema, plan); err != nil {
-		return nil, err
-	}
-	quasi := schema.QuasiColumns()
-	columns, err := f.SpecsFromProvenance(plan.Provenance)
-	if err != nil {
-		return nil, err
-	}
-	ultiGens := make(map[string]dht.GenSet, len(columns))
-	for col, spec := range columns {
-		ultiGens[col] = spec.UltiGen
-	}
-	params, err := paramsFromProvenance(plan.Provenance, key)
-	if err != nil {
-		return nil, err
-	}
-	params.Workers = f.cfg.Workers
-
-	res := &Streamed{}
-	sw := relation.NewSegmentWriter(out, schema)
-	deltaBins := make(map[string]int)
-	for {
-		seg, err := src.Next()
-		if err == io.EOF {
-			break
-		}
+	res := job.res
+	res.Rows, res.Segments, err = pipeSegments(ctx, src, out, func(seg *relation.Table) (*relation.Table, error) {
+		work, err := job.suppress(seg)
 		if err != nil {
 			return nil, err
 		}
-		work := seg
-		if len(plan.Suppress) > 0 {
-			work = seg.Clone()
-			n, err := binning.Suppress(work, f.trees, plan.Suppress)
-			if err != nil {
-				return nil, fmt.Errorf("core: replaying plan suppression: %w: %w", err, ErrBadProvenance)
-			}
-			res.Suppressed += n
-		}
-		marked, err := binning.TransformContext(ctx, work, ultiGens, 0, cipher, f.cfg.Workers)
+		marked, err := job.transform(ctx, work)
 		if err != nil {
 			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 				return nil, err
 			}
 			return nil, fmt.Errorf("core: delta outside planned frontiers: %w: %w", err, ErrPlanDrift)
 		}
-		segStats, err := watermark.EmbedContext(ctx, marked, plan.IdentCol, columns, params)
-		if err != nil {
+		if err := job.embed(ctx, marked); err != nil {
 			return nil, err
 		}
-		addEmbed(&res.Embed, segStats)
-		if err := addBins(deltaBins, marked, quasi); err != nil {
-			return nil, err
-		}
-		if err := sw.WriteSegment(marked); err != nil {
-			return nil, err
-		}
-		res.Rows += marked.NumRows()
-		res.Segments++
-		reportProgress(ctx, Progress{Stage: "stream", Done: res.Rows})
-	}
-	if err := sw.Flush(); err != nil {
+		return marked, nil
+	})
+	if err != nil {
 		return nil, err
 	}
+	deltaBins := job.after
 
 	// Combined-bin k-safety on the published union, exactly as
 	// AppendContext verifies it: existing bins only grow; brand-new bins
@@ -363,6 +243,202 @@ func (f *Framework) AppendStream(ctx context.Context, src Segments, plan *Plan, 
 	eff.Rows = plan.Rows + res.Rows
 	res.Plan = eff
 	return res, nil
+}
+
+// streamJob is the validated state ApplyStream and AppendStream share:
+// the plan's cipher, generalization sets and embed parameters, and the
+// result and combined marked bins its per-segment steps accumulate.
+type streamJob struct {
+	f        *Framework
+	plan     *Plan
+	cipher   *crypt.Cipher
+	columns  map[string]watermark.ColumnSpec
+	ultiGens map[string]dht.GenSet
+	params   watermark.Params
+	quasi    []string
+	res      *Streamed
+	after    map[string]int
+}
+
+// newStreamJob validates the inputs of a streamed protection.
+func (f *Framework) newStreamJob(ctx context.Context, src Segments, plan *Plan, key crypt.WatermarkKey) (*streamJob, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if src == nil {
+		return nil, fmt.Errorf("core: nil segment source: %w", ErrBadConfig)
+	}
+	if plan == nil {
+		return nil, fmt.Errorf("core: nil plan: %w", ErrBadProvenance)
+	}
+	if err := plan.Validate(); err != nil {
+		return nil, err
+	}
+	if err := key.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", err, ErrBadKey)
+	}
+	cipher, err := crypt.NewCipher(key.Enc)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", err, ErrBadKey)
+	}
+	schema := src.Schema()
+	if _, err := schema.Index(plan.IdentCol); err != nil {
+		return nil, fmt.Errorf("%w: %w", err, ErrBadSchema)
+	}
+	if err := checkQuasiCols(schema, plan); err != nil {
+		return nil, err
+	}
+	columns, err := f.SpecsFromProvenance(plan.Provenance)
+	if err != nil {
+		return nil, err
+	}
+	ultiGens := make(map[string]dht.GenSet, len(columns))
+	for col, spec := range columns {
+		ultiGens[col] = spec.UltiGen
+	}
+	params, err := paramsFromProvenance(plan.Provenance, key)
+	if err != nil {
+		return nil, err
+	}
+	params.Workers = f.cfg.Workers
+	return &streamJob{
+		f:        f,
+		plan:     plan,
+		cipher:   cipher,
+		columns:  columns,
+		ultiGens: ultiGens,
+		params:   params,
+		quasi:    schema.QuasiColumns(),
+		res:      &Streamed{},
+		after:    make(map[string]int),
+	}, nil
+}
+
+// suppress replays the plan's recorded suppression on a copy of seg.
+func (j *streamJob) suppress(seg *relation.Table) (*relation.Table, error) {
+	if len(j.plan.Suppress) == 0 {
+		return seg, nil
+	}
+	work := seg.Clone()
+	n, err := binning.Suppress(work, j.f.trees, j.plan.Suppress)
+	if err != nil {
+		return nil, fmt.Errorf("core: replaying plan suppression: %w: %w", err, ErrBadProvenance)
+	}
+	j.res.Suppressed += n
+	return work, nil
+}
+
+// transform generalizes seg to the planned frontiers and encrypts its
+// identifiers. The per-segment k check is disabled (effective k 0): a
+// segment's bins may be thin as long as the combined table is safe —
+// verified at end-of-stream.
+func (j *streamJob) transform(ctx context.Context, seg *relation.Table) (*relation.Table, error) {
+	return binning.TransformContext(ctx, seg, j.ultiGens, 0, j.cipher, j.f.cfg.Workers)
+}
+
+// embed watermarks the transformed segment tbl in place and counts its
+// bins into j.after. The per-row walk depends only on the encrypted
+// identifier cell, so segmentation cannot change which bits land where.
+func (j *streamJob) embed(ctx context.Context, tbl *relation.Table) error {
+	stats, err := watermark.EmbedContext(ctx, tbl, j.plan.IdentCol, j.columns, j.params)
+	if err != nil {
+		return err
+	}
+	addEmbed(&j.res.Embed, stats)
+	return addBins(j.after, tbl, j.quasi)
+}
+
+// pipeSegments runs step over every segment of src and writes each
+// result to out as CSV, with the three stages overlapped. src.Next runs
+// on its own goroutine, one segment ahead of step, and a goroutine
+// writes each result to out while step works on the next segment. Both
+// hand-offs are unbuffered, so at most one segment is read ahead and
+// one is being written, and out receives the results in source order.
+// On any error or cancellation the loop stops, then waits for both
+// goroutines to exit before it returns: no src.Next call and no write
+// to out runs after return. A write error stops the loop at the next
+// segment boundary.
+func pipeSegments(ctx context.Context, src Segments, out io.Writer, step func(*relation.Table) (*relation.Table, error)) (rows, segments int, err error) {
+	// Read-ahead: the reader stops after the first error or once stop
+	// is closed.
+	type read struct {
+		seg *relation.Table
+		err error
+	}
+	reads := make(chan read)
+	stop := make(chan struct{})
+	readerDone := make(chan struct{})
+	go func() {
+		defer close(readerDone)
+		for {
+			seg, err := src.Next()
+			select {
+			case reads <- read{seg, err}:
+			case <-stop:
+				return
+			}
+			if err != nil {
+				return
+			}
+		}
+	}()
+
+	// Write-behind: the writer stops at its first error.
+	sw := relation.NewSegmentWriter(out, src.Schema())
+	writes := make(chan *relation.Table)
+	writerDone := make(chan struct{})
+	var writeErr error
+	go func() {
+		defer close(writerDone)
+		for tbl := range writes {
+			if writeErr = sw.WriteSegment(tbl); writeErr != nil {
+				return
+			}
+		}
+	}()
+
+	err = func() error {
+		for {
+			var r read
+			select {
+			case r = <-reads:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			if r.err == io.EOF {
+				return nil
+			}
+			if r.err != nil {
+				return r.err
+			}
+			tbl, err := step(r.seg)
+			if err != nil {
+				return err
+			}
+			n := tbl.NumRows()
+			select {
+			case writes <- tbl:
+			case <-writerDone:
+				return writeErr
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			rows += n
+			segments++
+			reportProgress(ctx, Progress{Stage: "stream", Done: rows})
+		}
+	}()
+	close(stop)
+	<-readerDone
+	close(writes)
+	<-writerDone
+	if err == nil {
+		err = writeErr
+	}
+	if err == nil {
+		err = sw.Flush()
+	}
+	return rows, segments, err
 }
 
 // PlannedStream is the outcome of PlanStream: the plan plus ingest

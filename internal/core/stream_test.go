@@ -5,8 +5,11 @@ import (
 	"context"
 	"errors"
 	"io"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/anonymity"
 	"repro/internal/crypt"
@@ -24,14 +27,15 @@ func tableCSV(t *testing.T, tbl *relation.Table) []byte {
 	return buf.Bytes()
 }
 
-// TestApplyStreamMatchesApply pins the tentpole guarantee: the streamed
+// TestApplyStreamMatchesApply pins the streaming guarantee: the streamed
 // apply emits CSV byte-identical to the in-memory ApplyContext's table,
 // for every chunk size and worker count, and returns the same effective
-// plan.
+// plan. The overlapped read-ahead and write-behind must not reorder or
+// drop a segment.
 func TestApplyStreamMatchesApply(t *testing.T) {
 	tbl := testData(t, 4000)
 	key := crypt.NewWatermarkKeyFromSecret("owner", 25)
-	for _, workers := range []int{1, 2, 8} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		fw, err := New(ontology.Trees(), Config{K: 15, AutoEpsilon: true, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -45,7 +49,7 @@ func TestApplyStreamMatchesApply(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := tableCSV(t, p.Table)
-		for _, chunk := range []int{1, 7, 512, 4000, 9000} {
+		for _, chunk := range []int{1, 7, 512, 4000, 4096, 9000} {
 			var got bytes.Buffer
 			res, err := fw.ApplyStream(context.Background(), tbl.Segments(chunk), plan, key, &got)
 			if err != nil {
@@ -123,7 +127,7 @@ func TestAppendStreamMatchesAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := crypt.NewWatermarkKeyFromSecret("owner", 25)
-	for _, workers := range []int{1, 2, 8} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		fw, err := New(ontology.Trees(), Config{K: 15, AutoEpsilon: true, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
@@ -137,7 +141,7 @@ func TestAppendStreamMatchesAppend(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := tableCSV(t, app.Table)
-		for _, chunk := range []int{64, 333, 1000} {
+		for _, chunk := range []int{1, 7, 64, 333, 1000, 4096} {
 			var got bytes.Buffer
 			res, err := fw.AppendStream(context.Background(), delta.Segments(chunk), &prot.Plan, key, &got)
 			if err != nil {
@@ -261,5 +265,136 @@ func TestConfigChunkValidation(t *testing.T) {
 	}
 	if err != nil && !strings.Contains(err.Error(), "Chunk") {
 		t.Errorf("error does not name Chunk: %v", err)
+	}
+}
+
+var (
+	errSource = errors.New("test: source failed")
+	errWrite  = errors.New("test: writer failed")
+)
+
+// probeSegments wraps a segment source for the failure-path tests: it
+// fails Next at call failAt, runs onCall before each call, and counts
+// calls still running or started after the consumer returned.
+type probeSegments struct {
+	src      Segments
+	failAt   int
+	onCall   func(n int)
+	calls    atomic.Int32
+	inflight atomic.Int32
+	returned atomic.Bool
+	late     atomic.Int32
+}
+
+func (p *probeSegments) Schema() *relation.Schema { return p.src.Schema() }
+
+func (p *probeSegments) Next() (*relation.Table, error) {
+	p.inflight.Add(1)
+	defer p.inflight.Add(-1)
+	if p.returned.Load() {
+		p.late.Add(1)
+	}
+	n := int(p.calls.Add(1))
+	if p.onCall != nil {
+		p.onCall(n)
+	}
+	// Widen the window in which a leaked read-ahead would still run.
+	time.Sleep(time.Millisecond)
+	if n == p.failAt {
+		return nil, errSource
+	}
+	return p.src.Next()
+}
+
+// failWriter fails its failAt-th Write and every one after it.
+type failWriter struct {
+	failAt, calls int
+}
+
+func (w *failWriter) Write(b []byte) (int, error) {
+	w.calls++
+	if w.calls >= w.failAt {
+		return 0, errWrite
+	}
+	return len(b), nil
+}
+
+// TestStreamFailurePaths drives ApplyStream and AppendStream into a
+// failing source, a failing writer and a mid-stream cancellation. Each
+// must surface its error class, make no src.Next call after returning,
+// and leave no goroutine behind.
+func TestStreamFailurePaths(t *testing.T) {
+	fw, prot, delta, key := appendFixture(t, 4000, 2000)
+	applyPlan, err := fw.PlanContext(context.Background(), delta, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type streamFn func(ctx context.Context, src Segments, out io.Writer) error
+	calls := map[string]streamFn{
+		"apply": func(ctx context.Context, src Segments, out io.Writer) error {
+			_, err := fw.ApplyStream(ctx, src, applyPlan, key, out)
+			return err
+		},
+		"append": func(ctx context.Context, src Segments, out io.Writer) error {
+			_, err := fw.AppendStream(ctx, src, &prot.Plan, key, out)
+			return err
+		},
+	}
+	for name, call := range calls {
+		// Sanity: the unfailed probe completes.
+		if err := call(context.Background(), &probeSegments{src: delta.Segments(100)}, io.Discard); err != nil {
+			t.Fatalf("%s: clean run: %v", name, err)
+		}
+		cases := []struct {
+			name string
+			run  func(p *probeSegments) error
+			want error
+		}{
+			{"source fails at segment 3", func(p *probeSegments) error {
+				p.failAt = 3
+				return call(context.Background(), p, io.Discard)
+			}, errSource},
+			{"writer fails on write 3", func(p *probeSegments) error {
+				return call(context.Background(), p, &failWriter{failAt: 3})
+			}, errWrite},
+			{"ctx cancelled mid-stream", func(p *probeSegments) error {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				p.onCall = func(n int) {
+					if n == 4 {
+						cancel()
+					}
+				}
+				return call(ctx, p, io.Discard)
+			}, context.Canceled},
+		}
+		for _, tc := range cases {
+			goroutines := runtime.NumGoroutine()
+			p := &probeSegments{src: delta.Segments(100)}
+			err := tc.run(p)
+			if inflight := p.inflight.Load(); inflight != 0 {
+				t.Errorf("%s / %s: %d Next calls still running after return", name, tc.name, inflight)
+			}
+			p.returned.Store(true)
+			if !errors.Is(err, tc.want) {
+				t.Errorf("%s / %s: err = %v, want %v", name, tc.name, err, tc.want)
+			}
+			settleGoroutines(t, goroutines)
+			if late := p.late.Load(); late != 0 {
+				t.Errorf("%s / %s: %d Next calls after return", name, tc.name, late)
+			}
+		}
+	}
+}
+
+// settleGoroutines waits for the goroutine count to fall back to want.
+func settleGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d, want <= %d", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

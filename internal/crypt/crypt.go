@@ -20,15 +20,16 @@ package crypt
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/hmac"
 	"crypto/sha256"
 	"crypto/subtle"
+	"encoding"
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash"
+	"slices"
 	"sync"
 )
 
@@ -38,42 +39,98 @@ var (
 	ErrAuthentication   = errors.New("crypt: authentication failed")
 )
 
-// PRF is the keyed hash H of the paper. It is safe for concurrent use.
+// digest is a SHA-256 state that can be restored from its marshaled
+// form.
+type digest interface {
+	hash.Hash
+	encoding.BinaryUnmarshaler
+}
+
+// scratch is the working memory of one PRF evaluation or one cipher
+// operation: the HMAC inner and outer digests, the length-prefixed
+// message, the sum, the CTR counter and key-stream blocks, and the
+// plaintext, raw-token and base64 buffers of EncryptString. Scratches
+// are pooled, so the hot loops that evaluate H once per tuple or E once
+// per distinct identifier allocate nothing beyond what they return.
+type scratch struct {
+	inner, outer digest
+	msg          []byte
+	sum          [sha256.Size]byte
+	ctr, ks      [aes.BlockSize]byte
+	pt, raw, b64 []byte
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{inner: sha256.New().(digest), outer: sha256.New().(digest)}
+}}
+
+// PRF is the keyed hash H of the paper, HMAC-SHA256. It is safe for
+// concurrent use.
+//
+// The HMAC key schedule runs once, in NewPRF: inner and outer are the
+// marshaled SHA-256 states after absorbing the key⊕ipad and key⊕opad
+// blocks. Each evaluation restores them into a pooled scratch, which is
+// exactly what crypto/hmac does on Reset, so the output is bit-identical
+// to a fresh HMAC.
 type PRF struct {
-	key []byte
-	// macs pools keyed HMAC states: hmac.New re-hashes the key into the
-	// inner/outer pads on every call (~2 extra compressions plus several
-	// allocations), which dominates hot loops that evaluate H once per
-	// tuple (watermark selection, position addressing). A pooled state is
-	// Reset between uses — crypto/hmac restores the precomputed pads from
-	// their marshaled form, so the output is bit-identical to a fresh
-	// HMAC while skipping the key schedule.
-	macs sync.Pool
+	inner, outer []byte
 }
 
 // NewPRF returns a PRF keyed with key. The key may be any length; it is
-// used as an HMAC-SHA256 key.
+// used as an HMAC-SHA256 key (keys longer than the SHA-256 block are
+// hashed first, as crypto/hmac does).
 func NewPRF(key []byte) *PRF {
-	k := make([]byte, len(key))
-	copy(k, key)
-	p := &PRF{key: k}
-	p.macs.New = func() any { return hmac.New(sha256.New, p.key) }
-	return p
+	var block [sha256.BlockSize]byte
+	if len(key) > len(block) {
+		sum := sha256.Sum256(key)
+		key = sum[:]
+	}
+	copy(block[:], key)
+	return &PRF{inner: padState(block, 0x36), outer: padState(block, 0x5c)}
 }
 
-// Sum returns HMAC-SHA256(key, parts[0] || 0x00 || parts[1] || 0x00 ...).
-// Parts are length-prefixed to avoid ambiguity between concatenations.
-func (p *PRF) Sum(parts ...[]byte) []byte {
-	mac := p.macs.Get().(hash.Hash)
-	var lenBuf [8]byte
-	for _, part := range parts {
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(part)))
-		mac.Write(lenBuf[:])
-		mac.Write(part)
+// padState returns the marshaled SHA-256 state after absorbing
+// key⊕pad.
+func padState(key [sha256.BlockSize]byte, pad byte) []byte {
+	for i := range key {
+		key[i] ^= pad
 	}
-	out := mac.Sum(nil)
-	mac.Reset()
-	p.macs.Put(mac)
+	h := sha256.New()
+	h.Write(key[:])
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic(err) // crypto/sha256 digests always marshal
+	}
+	return state
+}
+
+// sum writes HMAC-SHA256(key, len(parts[0]) || parts[0] || len(parts[1])
+// || parts[1] ...) into s.sum and returns it. Each length is an 8-byte
+// big-endian prefix, so no two part lists share a message.
+func (p *PRF) sum(s *scratch, parts [][]byte) []byte {
+	msg := s.msg[:0]
+	for _, part := range parts {
+		msg = binary.BigEndian.AppendUint64(msg, uint64(len(part)))
+		msg = append(msg, part...)
+	}
+	s.msg = msg
+	// Restoring a state NewPRF marshaled cannot fail.
+	_ = s.inner.UnmarshalBinary(p.inner)
+	s.inner.Write(msg)
+	inner := s.inner.Sum(s.sum[:0])
+	_ = s.outer.UnmarshalBinary(p.outer)
+	s.outer.Write(inner)
+	return s.outer.Sum(s.sum[:0])
+}
+
+// Sum returns HMAC-SHA256(key, len(parts[0]) || parts[0] ||
+// len(parts[1]) || parts[1] ...), each length an 8-byte big-endian
+// prefix so that part boundaries are unambiguous. The result is a fresh
+// slice.
+func (p *PRF) Sum(parts ...[]byte) []byte {
+	s := scratchPool.Get().(*scratch)
+	out := slices.Clone(p.sum(s, parts))
+	scratchPool.Put(s)
 	return out
 }
 
@@ -81,7 +138,10 @@ func (p *PRF) Sum(parts ...[]byte) []byte {
 // unsigned integer. This is the H(·) value used modulo η or |S| in the
 // watermarking algorithms.
 func (p *PRF) Uint64(parts ...[]byte) uint64 {
-	return binary.BigEndian.Uint64(p.Sum(parts...))
+	s := scratchPool.Get().(*scratch)
+	v := binary.BigEndian.Uint64(p.sum(s, parts))
+	scratchPool.Put(s)
+	return v
 }
 
 // Mod returns Uint64(parts...) mod m. m must be positive.
@@ -131,9 +191,18 @@ const tagLen = 16
 
 // EncryptString encrypts a cell value, returning a compact base64 token.
 // Equal plaintexts yield equal tokens (deterministic one-to-one
-// replacement, as the binning algorithm requires).
+// replacement, as the binning algorithm requires). The token string is
+// its only allocation.
 func (c *Cipher) EncryptString(plaintext string) string {
-	return base64.RawURLEncoding.EncodeToString(c.Encrypt([]byte(plaintext)))
+	s := scratchPool.Get().(*scratch)
+	s.pt = append(s.pt[:0], plaintext...)
+	raw := c.seal(s, s.pt)
+	n := base64.RawURLEncoding.EncodedLen(len(raw))
+	s.b64 = slices.Grow(s.b64[:0], n)[:n]
+	base64.RawURLEncoding.Encode(s.b64, raw)
+	tok := string(s.b64)
+	scratchPool.Put(s)
+	return tok
 }
 
 // DecryptString reverses EncryptString.
@@ -153,13 +222,40 @@ func (c *Cipher) DecryptString(token string) (string, error) {
 // plaintext (synthetic IV), making encryption deterministic; the tag
 // authenticates iv||ciphertext.
 func (c *Cipher) Encrypt(plaintext []byte) []byte {
-	iv := c.ivPRF.Sum(plaintext)[:aes.BlockSize]
-	out := make([]byte, aes.BlockSize+len(plaintext)+tagLen)
-	copy(out, iv)
-	cipher.NewCTR(c.block, iv).XORKeyStream(out[aes.BlockSize:aes.BlockSize+len(plaintext)], plaintext)
-	tag := c.tagPRF.Sum(out[:aes.BlockSize+len(plaintext)])[:tagLen]
-	copy(out[aes.BlockSize+len(plaintext):], tag)
+	s := scratchPool.Get().(*scratch)
+	out := slices.Clone(c.seal(s, plaintext))
+	scratchPool.Put(s)
 	return out
+}
+
+// seal writes iv || ctr(plaintext) || tag into s.raw and returns it.
+// plaintext must not alias s.msg or s.raw.
+func (c *Cipher) seal(s *scratch, plaintext []byte) []byte {
+	n := aes.BlockSize + len(plaintext)
+	raw := slices.Grow(s.raw[:0], n+tagLen)[:n]
+	copy(raw, c.ivPRF.sum(s, [][]byte{plaintext})[:aes.BlockSize])
+	c.ctr(s, raw[aes.BlockSize:], plaintext, raw[:aes.BlockSize])
+	raw = append(raw, c.tagPRF.sum(s, [][]byte{raw})[:tagLen]...)
+	s.raw = raw
+	return raw
+}
+
+// ctr XORs src with the AES-CTR key stream that starts at counter block
+// iv into dst. The counter is incremented as one 128-bit big-endian
+// integer per block, as crypto/cipher's CTR mode does.
+func (c *Cipher) ctr(s *scratch, dst, src, iv []byte) {
+	copy(s.ctr[:], iv)
+	for len(src) > 0 {
+		c.block.Encrypt(s.ks[:], s.ctr[:])
+		n := subtle.XORBytes(dst, src, s.ks[:])
+		dst, src = dst[n:], src[n:]
+		for i := len(s.ctr) - 1; i >= 0; i-- {
+			s.ctr[i]++
+			if s.ctr[i] != 0 {
+				break
+			}
+		}
+	}
 }
 
 // Decrypt verifies and reverses Encrypt.
@@ -167,20 +263,19 @@ func (c *Cipher) Decrypt(raw []byte) ([]byte, error) {
 	if len(raw) < aes.BlockSize+tagLen {
 		return nil, ErrCiphertextFormat
 	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
 	body := raw[:len(raw)-tagLen]
 	tag := raw[len(raw)-tagLen:]
-	want := c.tagPRF.Sum(body)[:tagLen]
-	if subtle.ConstantTimeCompare(tag, want) != 1 {
+	if subtle.ConstantTimeCompare(tag, c.tagPRF.sum(s, [][]byte{body})[:tagLen]) != 1 {
 		return nil, ErrAuthentication
 	}
 	iv := body[:aes.BlockSize]
-	ct := body[aes.BlockSize:]
-	pt := make([]byte, len(ct))
-	cipher.NewCTR(c.block, iv).XORKeyStream(pt, ct)
+	pt := make([]byte, len(body)-aes.BlockSize)
+	c.ctr(s, pt, body[aes.BlockSize:], iv)
 	// SIV check: the IV must match the plaintext-derived IV, otherwise the
 	// ciphertext was spliced from another message.
-	wantIV := c.ivPRF.Sum(pt)[:aes.BlockSize]
-	if subtle.ConstantTimeCompare(iv, wantIV) != 1 {
+	if subtle.ConstantTimeCompare(iv, c.ivPRF.sum(s, [][]byte{pt})[:aes.BlockSize]) != 1 {
 		return nil, ErrAuthentication
 	}
 	return pt, nil

@@ -2,11 +2,265 @@ package crypt
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/base64"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
+
+// refSum is the reference PRF: crypto/hmac over the length-prefixed
+// parts.
+func refSum(key []byte, parts ...[]byte) []byte {
+	mac := hmac.New(sha256.New, key)
+	var lenBuf [8]byte
+	for _, part := range parts {
+		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(part)))
+		mac.Write(lenBuf[:])
+		mac.Write(part)
+	}
+	return mac.Sum(nil)
+}
+
+// refCipher is the reference cipher: the same SIV construction built
+// from crypto/hmac and crypto/cipher's CTR mode.
+type refCipher struct {
+	block         cipher.Block
+	ivKey, tagKey []byte
+}
+
+func newRefCipher(t testing.TB, master []byte) refCipher {
+	t.Helper()
+	block, err := aes.NewCipher(refSum(master, []byte("medshield/enc/v1")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return refCipher{
+		block:  block,
+		ivKey:  refSum(master, []byte("medshield/iv/v1")),
+		tagKey: refSum(master, []byte("medshield/tag/v1")),
+	}
+}
+
+func (r refCipher) encrypt(plaintext []byte) []byte {
+	iv := refSum(r.ivKey, plaintext)[:aes.BlockSize]
+	out := make([]byte, aes.BlockSize+len(plaintext)+tagLen)
+	copy(out, iv)
+	cipher.NewCTR(r.block, iv).XORKeyStream(out[aes.BlockSize:aes.BlockSize+len(plaintext)], plaintext)
+	copy(out[aes.BlockSize+len(plaintext):], refSum(r.tagKey, out[:aes.BlockSize+len(plaintext)])[:tagLen])
+	return out
+}
+
+func (r refCipher) encryptString(plaintext string) string {
+	return base64.RawURLEncoding.EncodeToString(r.encrypt([]byte(plaintext)))
+}
+
+// testBytes returns n deterministic, non-repeating-looking bytes.
+func testBytes(n int, salt byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*131+7) ^ salt
+	}
+	return b
+}
+
+// TestPRFMatchesHMAC pins PRF.Sum and Uint64 to crypto/hmac across the
+// key lengths that take the padded and the hashed-key branches and the
+// message lengths that cross SHA-256's 55/64-byte padding boundaries.
+func TestPRFMatchesHMAC(t *testing.T) {
+	for _, keyLen := range []int{0, 1, 32, 64, 65, 200} {
+		key := testBytes(keyLen, 0x5a)
+		p := NewPRF(key)
+		for n := 0; n <= 100; n++ {
+			msg := testBytes(n, byte(keyLen))
+			want := refSum(key, msg)
+			if got := p.Sum(msg); !bytes.Equal(got, want) {
+				t.Fatalf("key %d msg %d: Sum = %x, want %x", keyLen, n, got, want)
+			}
+			if got, want := p.Uint64(msg), binary.BigEndian.Uint64(want); got != want {
+				t.Fatalf("key %d msg %d: Uint64 = %d, want %d", keyLen, n, got, want)
+			}
+			parts := [][]byte{msg[:n/3], nil, msg[n/3:], []byte("pos")}
+			if got, want := p.Sum(parts...), refSum(key, parts...); !bytes.Equal(got, want) {
+				t.Fatalf("key %d msg %d: multi-part Sum = %x, want %x", keyLen, n, got, want)
+			}
+		}
+		if got, want := p.Sum(), refSum(key); !bytes.Equal(got, want) {
+			t.Fatalf("key %d: empty Sum = %x, want %x", keyLen, got, want)
+		}
+	}
+}
+
+// TestCipherMatchesReference pins Encrypt and EncryptString to the
+// crypto/hmac + crypto/cipher construction for plaintexts that cross
+// the 16-byte CTR block and the SHA-256 padding boundaries.
+func TestCipherMatchesReference(t *testing.T) {
+	for _, keyLen := range []int{0, 1, 32, 64, 65, 200} {
+		master := testBytes(keyLen, 0xa5)
+		c, err := NewCipher(master)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefCipher(t, master)
+		for n := 0; n <= 100; n++ {
+			pt := testBytes(n, byte(keyLen))
+			want := ref.encrypt(pt)
+			if got := c.Encrypt(pt); !bytes.Equal(got, want) {
+				t.Fatalf("key %d pt %d: Encrypt = %x, want %x", keyLen, n, got, want)
+			}
+			tok := c.EncryptString(string(pt))
+			if want := ref.encryptString(string(pt)); tok != want {
+				t.Fatalf("key %d pt %d: EncryptString = %s, want %s", keyLen, n, tok, want)
+			}
+			back, err := c.DecryptString(tok)
+			if err != nil || back != string(pt) {
+				t.Fatalf("key %d pt %d: DecryptString = %q, %v", keyLen, n, back, err)
+			}
+		}
+	}
+}
+
+// TestPRFAllocations pins the hot-loop contract: selection and position
+// addressing allocate nothing, and EncryptString allocates only the
+// token it returns.
+func TestPRFAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	p := NewPRF([]byte("selection-key"))
+	ident := []byte("Vh2n3yq0x6Qm1oGqk3qQ2c0m1YxJwq1Hk5Lr0b7aA8Zc")
+	col := "zip_code"
+	cases := map[string]func(){
+		"Uint64":  func() { _ = p.Uint64(ident) },
+		"Mod":     func() { _ = p.Mod(75, ident, []byte("pos"), []byte(col)) },
+		"Selects": func() { _ = p.Selects(ident, 75) },
+	}
+	for name, fn := range cases {
+		if n := testing.AllocsPerRun(200, fn); n != 0 {
+			t.Errorf("%s: %v allocs per call, want 0", name, n)
+		}
+	}
+	c, err := NewCipher([]byte("master"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() { _ = c.EncryptString("123-45-6789") }); n > 1 {
+		t.Errorf("EncryptString: %v allocs per call, want <= 1", n)
+	}
+}
+
+// TestCipherConcurrent runs EncryptString and Selects from several
+// goroutines on one cipher and one PRF at once; each result must match
+// the reference, so pooled scratch never leaks between callers.
+func TestCipherConcurrent(t *testing.T) {
+	master := []byte("concurrent-master")
+	c, err := NewCipher(master)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefCipher(t, master)
+	selKey := []byte("selection-key")
+	p := NewPRF(selKey)
+	const eta = 7
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				pt := fmt.Sprintf("patient-%d-%d-%s", g, i, testBytes(i%40, byte(g)))
+				if got, want := c.EncryptString(pt), ref.encryptString(pt); got != want {
+					errs <- fmt.Errorf("goroutine %d: EncryptString(%q) = %s, want %s", g, pt, got, want)
+					return
+				}
+				want := binary.BigEndian.Uint64(refSum(selKey, []byte(pt)))%eta == 0
+				if got := p.Selects([]byte(pt), eta); got != want {
+					errs <- fmt.Errorf("goroutine %d: Selects(%q) = %v, want %v", g, pt, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+func BenchmarkEncryptString(b *testing.B) {
+	c, err := NewCipher([]byte("master"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		c.EncryptString("123-45-6789")
+	}
+}
+
+func BenchmarkPRFSelects(b *testing.B) {
+	p := NewPRF([]byte("selection-key"))
+	ident := []byte("Vh2n3yq0x6Qm1oGqk3qQ2c0m1YxJwq1Hk5Lr0b7aA8Zc")
+	b.ReportAllocs()
+	for b.Loop() {
+		p.Selects(ident, 75)
+	}
+}
+
+// FuzzDecryptString feeds arbitrary tokens to the ciphertext parser:
+// it must never panic and must fail only with ErrCiphertextFormat or
+// ErrAuthentication; a successful decrypt must agree with the
+// reference; and every input, taken as a plaintext, must encrypt to the
+// reference token and round-trip.
+//
+// The agreement is checked on the decoded bytes, not on the token: the
+// base64 decoder skips CR and LF and ignores the unused bits of the
+// last character, so several token strings decode to one ciphertext.
+func FuzzDecryptString(f *testing.F) {
+	master := []byte("fuzz-master")
+	c, err := NewCipher(master)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ref := newRefCipher(f, master)
+	for _, pt := range []string{"", "a", "123-45-6789", string(testBytes(55, 1)), string(testBytes(100, 2))} {
+		tok := c.EncryptString(pt)
+		f.Add(tok)
+		f.Add(tok[:len(tok)/2])
+		f.Add(tok + "A")
+		f.Add(tok + "\n")
+		f.Add(tok[:len(tok)-1] + "_")
+		f.Add(pt)
+	}
+	f.Add("!!! not base64 !!!")
+	f.Fuzz(func(t *testing.T, token string) {
+		pt, err := c.DecryptString(token)
+		if err != nil {
+			if !errors.Is(err, ErrCiphertextFormat) && !errors.Is(err, ErrAuthentication) {
+				t.Fatalf("DecryptString(%q): unexpected error class %v", token, err)
+			}
+		} else if raw, _ := base64.RawURLEncoding.DecodeString(token); !bytes.Equal(raw, ref.encrypt([]byte(pt))) {
+			t.Fatalf("DecryptString(%q) = %q, which does not encrypt back to the token", token, pt)
+		}
+		tok := c.EncryptString(token)
+		if want := ref.encryptString(token); tok != want {
+			t.Fatalf("EncryptString(%q) = %s, want %s", token, tok, want)
+		}
+		back, err := c.DecryptString(tok)
+		if err != nil || back != token {
+			t.Fatalf("round trip of %q: %q, %v", token, back, err)
+		}
+	})
+}
 
 func TestPRFDeterministic(t *testing.T) {
 	p := NewPRF([]byte("key"))
