@@ -702,13 +702,46 @@ func BenchmarkDetect20k(b *testing.B) {
 
 // ---- multi-recipient traceback ------------------------------------------
 
+// tracebackSecret is the master secret the traceback benchmarks derive
+// their recipient keys from.
+const tracebackSecret = "traceback bench master secret"
+
+// recipientFleet derives n recipient IDs and their RecipientKey-derived
+// key sets.
+func recipientFleet(n int) ([]string, []medshield.Key) {
+	ids := make([]string, n)
+	keys := make([]medshield.Key, n)
+	for i := range ids {
+		ids[i] = "hospital-" + strconvItoa(i)
+		keys[i] = medshield.RecipientKey(tracebackSecret, ids[i], 75)
+	}
+	return ids, keys
+}
+
+// fleetCandidates registers every recipient of plan as a traceback
+// candidate, with the boundary-permutation setting the leaked copy was
+// published under.
+func fleetCandidates(tb testing.TB, plan *medshield.Plan, ids []string, keys []medshield.Key, boundaryPermutation bool) []core.Candidate {
+	tb.Helper()
+	cands := make([]core.Candidate, len(ids))
+	for i := range ids {
+		rp, err := core.RecipientPlan(plan, ids[i])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		prov := rp.Provenance
+		prov.BoundaryPermutation = boundaryPermutation
+		cands[i] = core.Candidate{ID: ids[i], Provenance: prov, Key: keys[i]}
+	}
+	return cands
+}
+
 // tracebackFixture registers n recipients of one 20k-row source (one
 // plan, per-recipient salted marks and keys) and leaks recipient 0's
 // copy: plan once, apply once for the leaker, derive the other
 // candidates without materializing their tables.
 func tracebackFixture(tb testing.TB, n int) (*medshield.Framework, *relation.Table, []core.Candidate) {
 	tb.Helper()
-	const secret = "traceback bench master secret"
 	src, err := datagen.Generate(datagen.Config{Rows: 20000, Seed: 1, Correlate: true, ZipfS: 1.2})
 	if err != nil {
 		tb.Fatal(err)
@@ -717,12 +750,7 @@ func tracebackFixture(tb testing.TB, n int) (*medshield.Framework, *relation.Tab
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ids := make([]string, n)
-	keys := make([]medshield.Key, n)
-	for i := range ids {
-		ids[i] = "hospital-" + strconvItoa(i)
-		keys[i] = medshield.RecipientKey(secret, ids[i], 75)
-	}
+	ids, keys := recipientFleet(n)
 	plan, err := fw.Plan(src, keys[0])
 	if err != nil {
 		tb.Fatal(err)
@@ -735,17 +763,7 @@ func tracebackFixture(tb testing.TB, n int) (*medshield.Framework, *relation.Tab
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cands := make([]core.Candidate, n)
-	for i := range ids {
-		rp, err := core.RecipientPlan(plan, ids[i])
-		if err != nil {
-			tb.Fatal(err)
-		}
-		prov := rp.Provenance
-		prov.BoundaryPermutation = leaked.Provenance.BoundaryPermutation
-		cands[i] = core.Candidate{ID: ids[i], Provenance: prov, Key: keys[i]}
-	}
-	return fw, leaked.Table, cands
+	return fw, leaked.Table, fleetCandidates(tb, plan, ids, keys, leaked.Provenance.BoundaryPermutation)
 }
 
 func strconvItoa(i int) string { return fmt.Sprintf("%02d", i) }
@@ -906,6 +924,60 @@ func BenchmarkDetectStream1M(b *testing.B) {
 		}
 		if !res.Match {
 			b.Fatal("streamed detection missed the mark")
+		}
+		f.Close()
+	}
+}
+
+// tracebackStreamFixture stream-protects one million rows for the
+// first of n recipients into a leaked CSV on disk and registers all n
+// as traceback candidates. The leak is never materialized in memory.
+func tracebackStreamFixture(tb testing.TB, n int) (*medshield.Framework, string, []core.Candidate) {
+	tb.Helper()
+	fw, tbl, plan, _ := streamBenchFixture(tb, 1000000)
+	ids, keys := recipientFleet(n)
+	leakPlan, err := core.RecipientPlan(plan, ids[0])
+	if err != nil {
+		tb.Fatal(err)
+	}
+	path := filepath.Join(tb.TempDir(), "leak.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := fw.ApplyStream(context.Background(), tbl.Segments(0), leakPlan, keys[0], f)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return fw, path, fleetCandidates(tb, plan, ids, keys, res.Plan.BoundaryPermutation)
+}
+
+// BenchmarkTracebackStream1M ranks 50 registered recipients against a
+// million-row leaked CSV read segment-at-a-time: per segment the
+// shared verdict tables and the Equation (5) selection are rebuilt and
+// every candidate's votes walked into its persistent board, while
+// ingest runs one segment ahead.
+func BenchmarkTracebackStream1M(b *testing.B) {
+	fw, path, cands := tracebackStreamFixture(b, 50)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := os.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sr, err := medshield.NewSegmentReader(f, medshield.BuiltinSchema(), fw.Config().Chunk)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := fw.TracebackStream(context.Background(), sr, cands)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Culprit != cands[0].ID {
+			b.Fatalf("culprit = %q", res.Culprit)
 		}
 		f.Close()
 	}

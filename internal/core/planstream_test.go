@@ -83,10 +83,12 @@ func TestPlanStreamMatchesPlanContext(t *testing.T) {
 }
 
 // TestPlanStreamFromCSV plans straight from CSV ingest, no materialized
-// table: SegmentReader in, plan out, identical to PlanContext.
+// table: SegmentReader in, plan out, identical to PlanContext at every
+// chunk size, with the identifier column on per-segment dictionaries
+// once the reader has seen it is unique.
 func TestPlanStreamFromCSV(t *testing.T) {
 	fw := testFramework(t)
-	tbl := testData(t, 3000)
+	tbl := testData(t, 4500)
 	key := crypt.NewWatermarkKeyFromSecret("owner", 25)
 	ref, err := fw.PlanContext(context.Background(), tbl, key)
 	if err != nil {
@@ -96,23 +98,21 @@ func TestPlanStreamFromCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := relation.NewSegmentReader(bytes.NewReader(tableCSV(t, tbl)), tbl.Schema(), 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := fw.PlanStream(context.Background(), sr, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := MarshalPlan(ps.Plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("CSV-streamed plan differs:\n got: %s\nwant: %s", got, want)
-	}
-	if ps.Rows != tbl.NumRows() {
-		t.Fatalf("rows = %d, want %d", ps.Rows, tbl.NumRows())
+	for src, segments := range sources(t, tbl) {
+		ps, err := fw.PlanStream(context.Background(), segments(), key)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		got, err := MarshalPlan(ps.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: CSV-streamed plan differs:\n got: %s\nwant: %s", src, got, want)
+		}
+		if ps.Rows != tbl.NumRows() {
+			t.Fatalf("%s: rows = %d, want %d", src, ps.Rows, tbl.NumRows())
+		}
 	}
 }
 

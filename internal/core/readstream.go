@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -38,6 +37,9 @@ type DetectStreamed struct {
 // statistics and match verdict are bit-identical to DetectContext over
 // the materialized concatenation of the segments, for every segment
 // size and worker count.
+//
+// src.Next runs on another goroutine, one segment ahead of the work on
+// the current one, and never after the call returns.
 func (f *Framework) DetectStream(ctx context.Context, src Segments, prov Provenance, key crypt.WatermarkKey) (*DetectStreamed, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -66,13 +68,15 @@ func (f *Framework) DetectStream(ctx context.Context, src Segments, prov Provena
 	}
 
 	out := &DetectStreamed{}
+	next, stop := readAhead(src)
+	defer stop()
 	for {
-		seg, err := src.Next()
-		if errors.Is(err, io.EOF) {
+		seg, err := next(ctx)
+		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("core: reading segment %d: %w", out.Segments, err)
+			return nil, err
 		}
 		if err := accum.AddContext(ctx, seg); err != nil {
 			return nil, err
@@ -115,6 +119,9 @@ type TracebackStreamed struct {
 // Verdicts, ranking, culprit and match ratios are bit-identical to
 // TracebackContext over the materialized concatenation of the
 // segments, for every segment size and worker count.
+//
+// src.Next runs on another goroutine, one segment ahead of the work on
+// the current one, and never after the call returns.
 func (f *Framework) TracebackStream(ctx context.Context, src Segments, candidates []Candidate) (*TracebackStreamed, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -156,13 +163,15 @@ func (f *Framework) TracebackStream(ctx context.Context, src Segments, candidate
 	}
 
 	out := &TracebackStreamed{}
+	next, stop := readAhead(src)
+	defer stop()
 	for {
-		seg, err := src.Next()
-		if errors.Is(err, io.EOF) {
+		seg, err := next(ctx)
+		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("core: reading segment %d: %w", out.Segments, err)
+			return nil, err
 		}
 		// Segment-scoped shared state: verdict tables per group,
 		// selections per distinct (K1, η) within a group.

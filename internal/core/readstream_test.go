@@ -5,9 +5,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/attack"
@@ -37,13 +40,39 @@ func alteredLeak(t *testing.T, fw *Framework, prot *Protected) *relation.Table {
 	return leak
 }
 
+// sources returns the segment sources the differential tests compare
+// against the in-memory path, by name: tbl's own segments at each of
+// tableChunks, and its CSV rendering read back through SegmentReader at
+// chunks 1, 7, 333 and 4096. With more than 4096 rows, each of those
+// runs the identifier column through the reader's per-segment
+// dictionaries.
+func sources(t *testing.T, tbl *relation.Table, tableChunks ...int) map[string]func() Segments {
+	t.Helper()
+	out := make(map[string]func() Segments)
+	for _, chunk := range tableChunks {
+		out[fmt.Sprintf("table/%d", chunk)] = func() Segments { return tbl.Segments(chunk) }
+	}
+	input := tableCSV(t, tbl)
+	for _, chunk := range []int{1, 7, 333, 4096} {
+		out[fmt.Sprintf("csv/%d", chunk)] = func() Segments {
+			sr, err := relation.NewSegmentReader(bytes.NewReader(input), tbl.Schema(), chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sr
+		}
+	}
+	return out
+}
+
 // TestDetectStreamMatchesDetect pins the read-side tentpole guarantee:
 // detection over a segment stream is bit-identical — mark, confidences,
 // statistics, loss and verdict — to DetectContext over the materialized
 // suspect, for every chunk size and worker count, on both a clean and
-// an attacked suspect.
+// an attacked suspect, whether the segments come from the table or
+// from CSV ingest.
 func TestDetectStreamMatchesDetect(t *testing.T) {
-	tbl := testData(t, 2000)
+	tbl := testData(t, 4500)
 	key := crypt.NewWatermarkKeyFromSecret("owner", 25)
 	for _, workers := range []int{1, 2, 8} {
 		fw, err := New(ontology.Trees(), Config{K: 15, AutoEpsilon: true, Workers: workers})
@@ -62,14 +91,14 @@ func TestDetectStreamMatchesDetect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, chunk := range []int{1, 512, 4000} {
-				got, err := fw.DetectStream(context.Background(), suspect.Segments(chunk), prot.Provenance, key)
+			for src, segments := range sources(t, suspect, 1, 512, 4000) {
+				got, err := fw.DetectStream(context.Background(), segments(), prot.Provenance, key)
 				if err != nil {
-					t.Fatalf("%s workers=%d chunk=%d: %v", name, workers, chunk, err)
+					t.Fatalf("%s workers=%d %s: %v", name, workers, src, err)
 				}
 				if !reflect.DeepEqual(got.Detection, *want) {
-					t.Fatalf("%s workers=%d chunk=%d: streamed detection diverged\n  stream: %+v\n  memory: %+v",
-						name, workers, chunk, got.Detection, *want)
+					t.Fatalf("%s workers=%d %s: streamed detection diverged\n  stream: %+v\n  memory: %+v",
+						name, workers, src, got.Detection, *want)
 				}
 				if got.Rows != suspect.NumRows() {
 					t.Fatalf("rows = %d, want %d", got.Rows, suspect.NumRows())
@@ -83,10 +112,11 @@ func TestDetectStreamMatchesDetect(t *testing.T) {
 // streamed, attacked suspect: the ranked report — verdicts, match
 // ratios, confidences, culprit — is bit-identical to TracebackContext
 // over the materialized leak, for every chunk size and worker count,
-// and still names the leaking recipient.
+// from the table's segments and from CSV ingest, and still names the
+// leaking recipient.
 func TestTracebackStreamMatchesTraceback(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
-		fw, results := fingerprintFixture(t, workers, "hospital-a", "hospital-b", "hospital-c")
+		fw, results := fingerprintFixtureRows(t, workers, 4500, "hospital-a", "hospital-b", "hospital-c")
 		cands := candidatesOf(results)
 		leak := alteredLeak(t, fw, results[1].Protected)
 		want, err := fw.Traceback(leak, cands)
@@ -96,14 +126,14 @@ func TestTracebackStreamMatchesTraceback(t *testing.T) {
 		if want.Culprit != "hospital-b" {
 			t.Fatalf("in-memory culprit = %q, want hospital-b", want.Culprit)
 		}
-		for _, chunk := range []int{1, 512, 4000} {
-			got, err := fw.TracebackStream(context.Background(), leak.Segments(chunk), cands)
+		for src, segments := range sources(t, leak, 1, 512, 4000) {
+			got, err := fw.TracebackStream(context.Background(), segments(), cands)
 			if err != nil {
-				t.Fatalf("workers=%d chunk=%d: %v", workers, chunk, err)
+				t.Fatalf("workers=%d %s: %v", workers, src, err)
 			}
 			if !reflect.DeepEqual(got.Traceback, *want) {
-				t.Fatalf("workers=%d chunk=%d: streamed traceback diverged\n  stream: %+v\n  memory: %+v",
-					workers, chunk, got.Traceback, *want)
+				t.Fatalf("workers=%d %s: streamed traceback diverged\n  stream: %+v\n  memory: %+v",
+					workers, src, got.Traceback, *want)
 			}
 			if got.Rows != leak.NumRows() {
 				t.Fatalf("rows = %d, want %d", got.Rows, leak.NumRows())
@@ -285,6 +315,83 @@ func TestReadStreamValidation(t *testing.T) {
 	}
 	if _, err := fw.FingerprintStream(ctx, tbl, rec, []io.Writer{io.Discard}); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled fingerprint: %v", err)
+	}
+}
+
+// TestReadStreamFailurePaths is TestStreamFailurePaths for the read
+// side: DetectStream, TracebackStream and PlanStream driven into a
+// source failing at segment 3 and a mid-stream cancellation. Each must
+// surface its error class (the source error wrapped with the index of
+// the failing segment), make no src.Next call after returning, and
+// leave no goroutine behind.
+func TestReadStreamFailurePaths(t *testing.T) {
+	fw, results := fingerprintFixture(t, 0, "hospital-a", "hospital-b")
+	cands := candidatesOf(results)
+	// Detection and traceback read a leaked copy; planning reads the
+	// unprotected table.
+	leak, plain := results[0].Protected.Table, testData(t, 1500)
+	type readFn func(ctx context.Context, src Segments) error
+	ops := map[string]struct {
+		tbl  *relation.Table
+		call readFn
+	}{
+		"detect": {leak, func(ctx context.Context, src Segments) error {
+			_, err := fw.DetectStream(ctx, src, cands[0].Provenance, cands[0].Key)
+			return err
+		}},
+		"traceback": {leak, func(ctx context.Context, src Segments) error {
+			_, err := fw.TracebackStream(ctx, src, cands)
+			return err
+		}},
+		"plan": {plain, func(ctx context.Context, src Segments) error {
+			_, err := fw.PlanStream(ctx, src, cands[0].Key)
+			return err
+		}},
+	}
+	for name, op := range ops {
+		call := op.call
+		if err := call(context.Background(), &probeSegments{src: op.tbl.Segments(100)}); err != nil {
+			t.Fatalf("%s: clean run: %v", name, err)
+		}
+		cases := []struct {
+			name string
+			run  func(p *probeSegments) error
+			want error
+		}{
+			{"source fails at segment 3", func(p *probeSegments) error {
+				p.failAt = 3
+				return call(context.Background(), p)
+			}, errSource},
+			{"ctx cancelled mid-stream", func(p *probeSegments) error {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				p.onCall = func(n int) {
+					if n == 4 {
+						cancel()
+					}
+				}
+				return call(ctx, p)
+			}, context.Canceled},
+		}
+		for _, tc := range cases {
+			goroutines := runtime.NumGoroutine()
+			p := &probeSegments{src: op.tbl.Segments(100)}
+			err := tc.run(p)
+			if inflight := p.inflight.Load(); inflight != 0 {
+				t.Errorf("%s / %s: %d Next calls still running after return", name, tc.name, inflight)
+			}
+			p.returned.Store(true)
+			if !errors.Is(err, tc.want) {
+				t.Errorf("%s / %s: err = %v, want %v", name, tc.name, err, tc.want)
+			}
+			if tc.want == errSource && !strings.Contains(err.Error(), "reading segment 2") {
+				t.Errorf("%s / %s: err = %v, want the failing segment's index", name, tc.name, err)
+			}
+			settleGoroutines(t, goroutines)
+			if late := p.late.Load(); late != 0 {
+				t.Errorf("%s / %s: %d Next calls after return", name, tc.name, late)
+			}
+		}
 	}
 }
 

@@ -17,15 +17,17 @@ import (
 	"repro/internal/watermark"
 )
 
-// Segments is the streaming-table source ApplyStream and AppendStream
+// Segments is the streaming-table source the streamed operations
 // consume: a sequence of bounded *relation.Table segments over one
 // schema, terminated by io.EOF. relation.SegmentReader (CSV ingest) and
 // relation.TableSegments (an in-memory table) both satisfy it.
 //
 // Segments may share dictionary backing (as SegmentReader's do); the
-// consumers below never mutate a yielded segment in place. ApplyStream
-// and AppendStream call Next from a goroutine of their own, one call
-// at a time, and never after they return.
+// consumers never mutate a yielded segment in place. All five streamed
+// operations — ApplyStream, AppendStream, PlanStream, DetectStream and
+// TracebackStream — call Next from a goroutine of their own, one
+// segment ahead of their work, one call at a time, and never after they
+// return.
 type Segments interface {
 	Schema() *relation.Schema
 	Next() (*relation.Table, error)
@@ -348,33 +350,31 @@ func (j *streamJob) embed(ctx context.Context, tbl *relation.Table) error {
 	return addBins(j.after, tbl, j.quasi)
 }
 
-// pipeSegments runs step over every segment of src and writes each
-// result to out as CSV, with the three stages overlapped. src.Next runs
-// on its own goroutine, one segment ahead of step, and a goroutine
-// writes each result to out while step works on the next segment. Both
-// hand-offs are unbuffered, so at most one segment is read ahead and
-// one is being written, and out receives the results in source order.
-// On any error or cancellation the loop stops, then waits for both
-// goroutines to exit before it returns: no src.Next call and no write
-// to out runs after return. A write error stops the loop at the next
-// segment boundary.
-func pipeSegments(ctx context.Context, src Segments, out io.Writer, step func(*relation.Table) (*relation.Table, error)) (rows, segments int, err error) {
-	// Read-ahead: the reader stops after the first error or once stop
-	// is closed.
+// readAhead reads src one segment ahead of its consumer: src.Next runs
+// on a goroutine of its own while the caller works on the previous
+// segment. next returns the segments in source order, then io.EOF; a
+// source error comes back wrapped with the index of the segment that
+// failed, and a cancelled ctx as ctx.Err(). The hand-off is unbuffered,
+// so at most one segment waits beyond the one the caller holds. After
+// next returns an error the caller must not call it again. stop ends
+// the read-ahead and waits for the goroutine to exit, so no src.Next
+// call runs after stop returns; the caller must call it once, on every
+// path.
+func readAhead(src Segments) (next func(context.Context) (*relation.Table, error), stop func()) {
 	type read struct {
 		seg *relation.Table
 		err error
 	}
 	reads := make(chan read)
-	stop := make(chan struct{})
-	readerDone := make(chan struct{})
+	quit := make(chan struct{})
+	done := make(chan struct{})
 	go func() {
-		defer close(readerDone)
+		defer close(done)
 		for {
 			seg, err := src.Next()
 			select {
 			case reads <- read{seg, err}:
-			case <-stop:
+			case <-quit:
 				return
 			}
 			if err != nil {
@@ -382,6 +382,42 @@ func pipeSegments(ctx context.Context, src Segments, out io.Writer, step func(*r
 			}
 		}
 	}()
+	segments := 0
+	next = func(ctx context.Context) (*relation.Table, error) {
+		select {
+		case r := <-reads:
+			switch {
+			case r.err == nil:
+				segments++
+				return r.seg, nil
+			case errors.Is(r.err, io.EOF):
+				return nil, io.EOF
+			default:
+				return nil, fmt.Errorf("core: reading segment %d: %w", segments, r.err)
+			}
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	stop = func() {
+		close(quit)
+		<-done
+	}
+	return next, stop
+}
+
+// pipeSegments runs step over every segment of src and writes each
+// result to out as CSV, with the three stages overlapped: src is read
+// one segment ahead of step (readAhead), and a goroutine writes each
+// result to out while step works on the next segment. The write
+// hand-off is unbuffered too, so at most one segment is read ahead and
+// one is being written, and out receives the results in source order.
+// On any error or cancellation the loop stops, then waits for both
+// goroutines to exit before it returns: no src.Next call and no write
+// to out runs after return. A write error stops the loop at the next
+// segment boundary.
+func pipeSegments(ctx context.Context, src Segments, out io.Writer, step func(*relation.Table) (*relation.Table, error)) (rows, segments int, err error) {
+	next, stop := readAhead(src)
 
 	// Write-behind: the writer stops at its first error.
 	sw := relation.NewSegmentWriter(out, src.Schema())
@@ -399,19 +435,14 @@ func pipeSegments(ctx context.Context, src Segments, out io.Writer, step func(*r
 
 	err = func() error {
 		for {
-			var r read
-			select {
-			case r = <-reads:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			if r.err == io.EOF {
+			seg, err := next(ctx)
+			if err == io.EOF {
 				return nil
 			}
-			if r.err != nil {
-				return r.err
+			if err != nil {
+				return err
 			}
-			tbl, err := step(r.seg)
+			tbl, err := step(seg)
 			if err != nil {
 				return err
 			}
@@ -428,8 +459,7 @@ func pipeSegments(ctx context.Context, src Segments, out io.Writer, step func(*r
 			reportProgress(ctx, Progress{Stage: "stream", Done: rows})
 		}
 	}()
-	close(stop)
-	<-readerDone
+	stop()
 	close(writes)
 	<-writerDone
 	if err == nil {
@@ -463,6 +493,9 @@ type PlannedStream struct {
 // conservative-ε re-search all run over the sketch and produce exactly
 // the plan PlanContext would — the paper's planning pass without ever
 // materializing the table.
+//
+// src.Next runs on another goroutine, one segment ahead of the work on
+// the current one, and never after the call returns.
 func (f *Framework) PlanStream(ctx context.Context, src Segments, key crypt.WatermarkKey) (*PlannedStream, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -489,13 +522,15 @@ func (f *Framework) PlanStream(ctx context.Context, src Segments, key crypt.Wate
 
 	var accum ownership.StatAccum
 	res := &PlannedStream{}
+	next, stop := readAhead(src)
+	defer stop()
 	for {
-		seg, err := src.Next()
-		if errors.Is(err, io.EOF) {
+		seg, err := next(ctx)
+		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("core: reading segment %d: %w", res.Segments, err)
+			return nil, err
 		}
 		if err := sk.Add(seg); err != nil {
 			return nil, err

@@ -85,10 +85,10 @@ func TestApplyStreamMatchesApply(t *testing.T) {
 
 // TestApplyStreamFromCSV drives the full streaming data plane: CSV in
 // (SegmentReader), CSV out, no materialized table — and the output
-// still matches the in-memory path.
+// still matches the in-memory path at every chunk size.
 func TestApplyStreamFromCSV(t *testing.T) {
 	fw := testFramework(t)
-	tbl := testData(t, 3000)
+	tbl := testData(t, 4500)
 	key := crypt.NewWatermarkKeyFromSecret("owner", 25)
 	plan, err := fw.PlanContext(context.Background(), tbl, key)
 	if err != nil {
@@ -99,18 +99,14 @@ func TestApplyStreamFromCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := tableCSV(t, p.Table)
-
-	input := tableCSV(t, tbl)
-	sr, err := relation.NewSegmentReader(bytes.NewReader(input), tbl.Schema(), 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got bytes.Buffer
-	if _, err := fw.ApplyStream(context.Background(), sr, plan, key, &got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatal("CSV-to-CSV stream differs from in-memory apply")
+	for src, segments := range sources(t, tbl) {
+		var got bytes.Buffer
+		if _, err := fw.ApplyStream(context.Background(), segments(), plan, key, &got); err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("%s: CSV-to-CSV stream differs from in-memory apply", src)
+		}
 	}
 }
 

@@ -17,11 +17,17 @@ const tracebackSecret = "master outsourcing secret"
 
 func fingerprintFixture(t *testing.T, workers int, ids ...string) (*Framework, []FingerprintResult) {
 	t.Helper()
+	return fingerprintFixtureRows(t, workers, 1500, ids...)
+}
+
+// fingerprintFixtureRows fingerprints a rows-row table for ids.
+func fingerprintFixtureRows(t *testing.T, workers, rows int, ids ...string) (*Framework, []FingerprintResult) {
+	t.Helper()
 	fw, err := New(ontology.Trees(), Config{K: 15, AutoEpsilon: true, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := testData(t, 1500)
+	tbl := testData(t, rows)
 	recipients := make([]Recipient, len(ids))
 	for i, id := range ids {
 		recipients[i] = Recipient{ID: id, Key: crypt.RecipientWatermarkKey(tracebackSecret, id, 20)}

@@ -8,17 +8,27 @@ import (
 )
 
 // SegmentReader streams a CSV input as a sequence of bounded *Table
-// segments instead of materializing one giant table. All segments share
+// segments instead of materializing one giant table. Segments share
 // the reader's per-column dictionaries: a value seen in segment 1 keeps
 // the same dictionary code in segment 400, so per-distinct-value work
 // (encryption, generalization, embed preludes) amortizes across the
 // whole stream while the resident row set stays bounded by the chunk
 // size.
 //
+// A near-unique column (an identifying column, say) never repays that
+// sharing: its dictionary would grow with the stream, not the chunk,
+// and every consumer doing per-distinct-value work over a segment's
+// dictionary would pay for the whole stream's history. Once a column is
+// seen to be near-unique, every later segment gets a fresh dictionary
+// of that column holding only its own values, and the reader clears and
+// reuses the column's intern map, so the reader's state for the column
+// stays bounded by the chunk size. Low-cardinality columns keep one
+// shared dictionary for the whole stream, at every chunk size.
+//
 // Each segment is a self-contained Table over the reader's schema. Its
-// dictionaries are capacity-capped views of the shared ones: reads are
+// dictionaries are capacity-capped views of the reader's: reads are
 // plain lookups, and a consumer that interns new values (SetCellAt,
-// MapColumn) re-allocates privately without clobbering the shared
+// MapColumn) re-allocates privately without clobbering the reader's
 // backing — earlier segments and the reader itself stay valid. Quoted
 // fields, embedded newlines and multi-byte runes are handled by the
 // record-level CSV decoding, so a logical record never straddles two
@@ -28,6 +38,7 @@ type SegmentReader struct {
 	cr      *csv.Reader
 	perm    []int // perm[csvCol] = schemaCol
 	cols    []column
+	unique  []bool // unique[col]: near-unique, one dictionary per segment
 	chunk   int
 	dictCap int
 	lineNo  int
@@ -36,10 +47,15 @@ type SegmentReader struct {
 	err     error
 }
 
-// minDictCap floors the shared-dictionary retirement threshold so that
-// low-cardinality columns keep full cross-stream sharing even under
-// tiny chunk sizes.
-const minDictCap = 16384
+// A shared dictionary is near-unique once it holds more than dictCap
+// entries, or more than minUniqueDict entries and over one for every
+// two rows read. dictCap is max(4·chunk, minDictCap). The floors keep
+// low-cardinality columns shared under tiny chunk sizes, where the
+// first rows of the stream are mostly new values of every column.
+const (
+	minDictCap    = 16384
+	minUniqueDict = 1024
+)
 
 // NewSegmentReader prepares streaming ingest of r against schema,
 // yielding at most chunk rows per segment (DefaultChunk when
@@ -65,6 +81,7 @@ func NewSegmentReader(r io.Reader, schema *Schema, chunk int) (*SegmentReader, e
 		cr:      cr,
 		perm:    perm,
 		cols:    make([]column, schema.NumColumns()),
+		unique:  make([]bool, schema.NumColumns()),
 		chunk:   chunk,
 		dictCap: max(4*chunk, minDictCap),
 		lineNo:  2,
@@ -131,26 +148,32 @@ func (sr *SegmentReader) Next() (*Table, error) {
 	sr.rows += n
 	seg := &Table{schema: sr.schema, cols: make([]column, len(sr.cols))}
 	for ci := range sr.cols {
-		dict := sr.cols[ci].dict
-		// Three-index slice: the segment reads the shared dictionary in
-		// place, but any append (a consumer interning a new value) falls
-		// off the capped capacity and copies, leaving the shared backing
-		// untouched. The inverse index stays nil and is rebuilt lazily
-		// and privately if the consumer ever needs it.
-		seg.cols[ci].dict = dict[:len(dict):len(dict)]
+		c := &sr.cols[ci]
+		// Three-index slice: the segment reads the reader's dictionary
+		// in place, but any append (a consumer interning a new value)
+		// falls off the capped capacity and copies, leaving the reader's
+		// backing untouched. The inverse index stays nil and is rebuilt
+		// lazily and privately if the consumer ever needs it.
+		seg.cols[ci].dict = c.dict[:len(c.dict):len(c.dict)]
 		seg.cols[ci].codes = codes[ci]
-	}
-	// Retire oversized shared dictionaries. A near-unique column (an
-	// identifying column, say) never repays sharing — its dictionary and
-	// intern index would otherwise grow with the stream length, not the
-	// chunk size, and every consumer doing per-distinct-value work over a
-	// segment's dictionary view would pay for the whole stream's history.
-	// Subsequent segments start that column from an empty dictionary; the
-	// segment just built keeps its capped view of the retired backing,
-	// and low-cardinality columns never hit the cap.
-	for ci := range sr.cols {
-		if len(sr.cols[ci].dict) > sr.dictCap {
-			sr.cols[ci] = column{}
+
+		// A near-unique column starts the next segment from a dictionary
+		// of its own; the segment just built keeps its view of the old
+		// backing. Its intern map is emptied in place, so the buckets
+		// serve the next segment — except on the segment that finds the
+		// column near-unique, whose map was sized by the shared history
+		// and is dropped for one the next segment grows to chunk size.
+		if sr.unique[ci] {
+			clear(c.index)
+		} else if d := len(c.dict); d > sr.dictCap || (d > minUniqueDict && 2*d > sr.rows) {
+			sr.unique[ci] = true
+			c.index = nil
+		} else {
+			continue
+		}
+		c.dict = nil
+		if !sr.done {
+			c.dict = make([]string, 0, sr.chunk)
 		}
 	}
 	return seg, nil

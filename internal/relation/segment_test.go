@@ -3,7 +3,9 @@ package relation
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -130,6 +132,173 @@ func TestSegmentReaderSharedDicts(t *testing.T) {
 	}
 }
 
+// uniqueCSV renders rows rows over segSchema: a unique ssn per row and
+// an age cycling through ages, so that ages[1] is first seen at code 1.
+func uniqueCSV(rows int, ages []string) string {
+	var b strings.Builder
+	b.WriteString("ssn,age,doctor,note\n")
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&b, "s%d,%s,Nurse,n\n", i, ages[i%len(ages)])
+	}
+	return b.String()
+}
+
+// TestSegmentReaderNearUniqueDicts pins the per-segment dictionary of a
+// near-unique column: once the reader has seen the ssn column is
+// unique, every segment's ssn dictionary holds exactly the segment's
+// own values, and the reader reuses one intern map of at most chunk
+// entries instead of growing one with the stream.
+func TestSegmentReaderNearUniqueDicts(t *testing.T) {
+	const chunk, segments = 4096, 41
+	ages := []string{"34", "67", "9"}
+	sr, err := NewSegmentReader(strings.NewReader(uniqueCSV(chunk*segments-5, ages)), segSchema(), chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ssnIdx, _ := segSchema().Index("ssn")
+	ageIdx, _ := segSchema().Index("age")
+	var maps []uintptr
+	for k := 0; ; k++ {
+		seg, err := sr.Next()
+		if err == io.EOF {
+			if k != segments {
+				t.Fatalf("%d segments, want %d", k, segments)
+			}
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		dict := seg.DictValues(ssnIdx)
+		if len(dict) != seg.NumRows() || len(dict) > chunk {
+			t.Fatalf("segment %d: ssn dictionary has %d entries for %d rows", k, len(dict), seg.NumRows())
+		}
+		for i := 0; i < seg.NumRows(); i++ {
+			if want := fmt.Sprintf("s%d", k*chunk+i); seg.CellAt(i, ssnIdx) != want || dict[seg.CodeAt(i, ssnIdx)] != want {
+				t.Fatalf("segment %d row %d: ssn %q, want %q", k, i, seg.CellAt(i, ssnIdx), want)
+			}
+		}
+		if got := len(seg.DictValues(ageIdx)); got != len(ages) {
+			t.Fatalf("segment %d: age dictionary has %d entries, want the shared %d", k, got, len(ages))
+		}
+		if n := len(sr.cols[ssnIdx].index); n > chunk {
+			t.Fatalf("segment %d: reader's ssn intern map holds %d entries", k, n)
+		}
+		if idx := sr.cols[ssnIdx].index; idx != nil {
+			maps = append(maps, reflect.ValueOf(idx).Pointer())
+		}
+	}
+	// The segment that finds the column unique drops the map sized by
+	// the shared history; every later segment reuses one map.
+	if len(maps) < segments-2 {
+		t.Fatalf("reader kept an ssn intern map after %d of %d segments", len(maps), segments)
+	}
+	for _, m := range maps[1:] {
+		if m != maps[0] {
+			t.Fatal("reader grew a new ssn intern map instead of reusing its own")
+		}
+	}
+}
+
+// TestSegmentReaderLowCardinalityShared pins the other half of the
+// rule: beside a unique column, a low-cardinality column keeps one
+// dictionary, and every value one code, for the whole stream at every
+// chunk size. The tracked value is first seen at code 1, so a reset
+// dictionary could not hand it its old code by coincidence.
+func TestSegmentReaderLowCardinalityShared(t *testing.T) {
+	ages := []string{"34", "67"}
+	for i := 0; i < 80; i++ {
+		ages = append(ages, fmt.Sprint(i+100))
+	}
+	const rows = 3*4096 + 17
+	input := uniqueCSV(rows, ages)
+	ageIdx, _ := segSchema().Index("age")
+	for _, chunk := range []int{1, 2, 7, 4096} {
+		sr, err := NewSegmentReader(strings.NewReader(input), segSchema(), chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes := map[string]uint32{}
+		seen := 0
+		for {
+			seg, err := sr.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < seg.NumRows(); i++ {
+				v, code := seg.CellAt(i, ageIdx), seg.CodeAt(i, ageIdx)
+				if want, ok := codes[v]; ok && code != want {
+					t.Fatalf("chunk %d: age %q has code %d at row %d, %d before", chunk, v, code, seen+i, want)
+				}
+				codes[v] = code
+			}
+			seen += seg.NumRows()
+		}
+		if seen != rows {
+			t.Fatalf("chunk %d: %d rows, want %d", chunk, seen, rows)
+		}
+		if codes["67"] != 1 {
+			t.Fatalf("chunk %d: age 67 has code %d, want 1", chunk, codes["67"])
+		}
+		if sr.unique[ageIdx] {
+			t.Fatalf("chunk %d: low-cardinality age column went per-segment", chunk)
+		}
+	}
+}
+
+// TestSegmentReaderReusedMapIsolated checks that a consumer interning
+// into a segment of a per-segment column reaches neither the intern map
+// the reader clears and reuses nor any other segment: each emitted
+// segment keeps its own cells, edits included, after the whole stream
+// has been read.
+func TestSegmentReaderReusedMapIsolated(t *testing.T) {
+	const chunk = 64
+	sr, err := NewSegmentReader(strings.NewReader(uniqueCSV(40*chunk, []string{"34"})), segSchema(), chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ssnIdx, _ := segSchema().Index("ssn")
+	var segs []*Table
+	var want [][]string
+	for k := 0; ; k++ {
+		seg, err := sr.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := make([]string, seg.NumRows())
+		for i := range cells {
+			cells[i] = fmt.Sprintf("s%d", k*chunk+i)
+		}
+		if sr.unique[ssnIdx] {
+			// A fresh value, and the next segment's first value.
+			cells[0], cells[1] = "consumer", fmt.Sprintf("s%d", (k+1)*chunk)
+			seg.SetCellAt(0, ssnIdx, cells[0])
+			seg.SetCellAt(1, ssnIdx, cells[1])
+			if _, ok := sr.cols[ssnIdx].index["consumer"]; ok {
+				t.Fatalf("segment %d: consumer value reached the reader's intern map", k)
+			}
+		}
+		segs = append(segs, seg)
+		want = append(want, cells)
+	}
+	if !sr.unique[ssnIdx] {
+		t.Fatal("ssn column never went per-segment")
+	}
+	for k, seg := range segs {
+		for i, w := range want[k] {
+			if got := seg.CellAt(i, ssnIdx); got != w {
+				t.Fatalf("segment %d row %d: ssn %q, want %q", k, i, got, w)
+			}
+		}
+	}
+}
+
 func TestSegmentWriterMatchesWriteCSV(t *testing.T) {
 	const input = "ssn,age,doctor,note\n" +
 		"s1,34,Nurse,\"a\nb\"\n" +
@@ -224,6 +393,9 @@ func FuzzSegmentIngest(f *testing.F) {
 	f.Add("ssn,age,doctor,note\r\ns1,34,Nurse,a\r\ns2,5,N,b", 3)
 	f.Add("ssn,age,doctor,note\ns1,,,\n,,,\n", 7)
 	f.Add("", 4)
+	// High cardinality over many small segments: the unique first
+	// column goes per-segment midway, the others stay shared.
+	f.Add(uniqueCSV(1500, []string{"34", "67", "9"}), 3)
 	f.Fuzz(func(t *testing.T, input string, chunk int) {
 		if chunk < 0 {
 			chunk = -chunk
