@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/anonymity"
 	"repro/internal/api"
 	"repro/internal/attack"
 	"repro/internal/binning"
@@ -1200,6 +1201,58 @@ func BenchmarkEncryptIdentifier(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.EncryptString("123-45-6789")
+	}
+}
+
+// firstSegment returns the first 4096-row segment of tbl, re-encoded
+// with segment-local dictionaries as the streamed operations see it.
+func firstSegment(b *testing.B, tbl *relation.Table) *relation.Table {
+	b.Helper()
+	seg, err := tbl.Segments(relation.DefaultChunk).Next()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return seg
+}
+
+// BenchmarkBinsSegment counts the quasi-column bins of one transformed
+// 4096-row segment, as ApplyStream does twice per segment.
+func BenchmarkBinsSegment(b *testing.B) {
+	_, p, _ := protectedFixture(b)
+	seg := firstSegment(b, p.Table)
+	quasi := seg.Schema().QuasiColumns()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := anonymity.Bins(seg, quasi); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkMapColumnIdent encrypts the 4096-entry identifier dictionary
+// of one segment through MapColumnCtx, as the streamed transform does
+// per segment.
+func BenchmarkMapColumnIdent(b *testing.B) {
+	seg := firstSegment(b, benchTable(b, 20000))
+	ci, err := seg.Schema().Index("ssn")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := crypt.NewCipher([]byte("bench"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	encrypt := func(v string) (string, error) { return c.EncryptString(v), nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		work := seg.Clone()
+		b.StartTimer()
+		if _, err := work.MapColumnCtx(context.Background(), 1, ci, encrypt); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -7,7 +7,9 @@
 package anonymity
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/dht"
 	"repro/internal/relation"
@@ -36,30 +38,32 @@ func BinKey(row []string, colIdx []int) string {
 }
 
 // Bins returns the bin-size map of the table over the given columns:
-// bin value-combination → number of tuples. The scan is columnar: bin
-// keys assemble from dictionary codes into a reused buffer, so steady
-// state allocates only on first sight of a bin.
+// bin value-combination → number of tuples.
 func Bins(tbl *relation.Table, cols []string) (map[string]int, error) {
-	idx := make([]int, len(cols))
+	out := make(map[string]int)
+	if err := AddBins(out, tbl, cols); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// AddBins adds the table's bin sizes over the given columns to dst —
+// Bins accumulated across tables, as the streamed operations count
+// their segments. Rows are counted by dictionary code (CountBins), so
+// each bin's key is spelled once per table, not once per row.
+func AddBins(dst map[string]int, tbl *relation.Table, cols []string) error {
 	dicts := make([][]string, len(cols))
 	codes := make([][]uint32, len(cols))
 	for i, c := range cols {
 		ci, err := tbl.Schema().Index(c)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		idx[i] = ci
 		dicts[i] = tbl.DictValues(ci)
 		codes[i] = tbl.Codes(ci)
 	}
-	out := make(map[string]int)
-	n := tbl.NumRows()
-	var key []byte
-	for row := 0; row < n; row++ {
-		key = appendBinKey(key[:0], func(c int) string { return dicts[c][codes[c][row]] }, len(idx))
-		out[string(key)]++
-	}
-	return out, nil
+	CountBins(dst, dicts, codes, tbl.NumRows(), nil)
+	return nil
 }
 
 // GeneralizedBins returns the bin-size map tbl would have after
@@ -105,13 +109,139 @@ func GeneralizedBins(tbl *relation.Table, cols []string, gens map[string]dht.Gen
 		codes[i] = colCodes
 	}
 	out := make(map[string]int)
-	n := tbl.NumRows()
-	var key []byte
-	for row := 0; row < n; row++ {
-		key = appendBinKey(key[:0], func(c int) string { return dicts[c][codes[c][row]] }, len(cols))
-		out[string(key)]++
-	}
+	CountBins(out, dicts, codes, tbl.NumRows(), nil)
 	return out, nil
+}
+
+// CountBins adds to dst the bin sizes of rows given as per-column codes:
+// row r has code codes[c][r] in column c and weight weights[r] (1 when
+// weights is nil), and spell[c][code] is the bin-key component of that
+// code. Only codes some row uses are spelled.
+//
+// The rows are counted by their code tuple, keyed by RadixKeys (base =
+// len(spell[c])) when the product of the bases fits and by WideKeys
+// otherwise; then each distinct tuple's key is spelled once. Distinct
+// tuples whose keys coincide — two codes generalized to one value,
+// say — are summed.
+func CountBins[C ~uint32 | ~int32](dst map[string]int, spell [][]string, codes [][]C, rows int, weights []int) {
+	bases := make([]uint64, len(spell))
+	for c := range spell {
+		bases[c] = uint64(max(len(spell[c]), 1))
+	}
+	if radix, fits := NewRadixKeys(bases); fits {
+		countTuples(dst, spell, codes, rows, weights, radix)
+		return
+	}
+	countTuples(dst, spell, codes, rows, weights, &wideInterned{seen: make(map[string]string)})
+}
+
+// RadixKeys packs a tuple of per-column codes, each below its column's
+// base, into a uint64 mixed radix, the first column most significant.
+type RadixKeys struct{ bases, places []uint64 }
+
+// NewRadixKeys returns the mixed radix over bases (each ≥ 1), and false
+// when their product overflows uint64 — WideKeys then keys the tuples.
+func NewRadixKeys(bases []uint64) (RadixKeys, bool) {
+	places := make([]uint64, len(bases))
+	place := uint64(1)
+	for c := len(bases) - 1; c >= 0; c-- {
+		places[c] = place
+		if place > math.MaxUint64/bases[c] {
+			return RadixKeys{}, false
+		}
+		place *= bases[c]
+	}
+	return RadixKeys{bases: bases, places: places}, true
+}
+
+// Key packs tuple.
+func (r RadixKeys) Key(tuple []uint32) uint64 {
+	var key uint64
+	for c, v := range tuple {
+		key += uint64(v) * r.places[c]
+	}
+	return key
+}
+
+// Decode unpacks key into tuple.
+func (r RadixKeys) Decode(key uint64, tuple []uint32) {
+	for c := range tuple {
+		tuple[c] = uint32((key / r.places[c]) % r.bases[c])
+	}
+}
+
+// WideKeys packs a tuple of codes as four little-endian bytes per code,
+// for any bases.
+type WideKeys struct{}
+
+// Append appends tuple's key to buf.
+func (WideKeys) Append(buf []byte, tuple []uint32) []byte {
+	for _, v := range tuple {
+		buf = binary.LittleEndian.AppendUint32(buf, v)
+	}
+	return buf
+}
+
+// Key packs tuple.
+func (k WideKeys) Key(tuple []uint32) string {
+	return string(k.Append(make([]byte, 0, 4*len(tuple)), tuple))
+}
+
+// Decode unpacks key into tuple.
+func (WideKeys) Decode(key string, tuple []uint32) {
+	for c := range tuple {
+		b := key[4*c : 4*c+4]
+		tuple[c] = uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	}
+}
+
+// TupleCodec packs a tuple of per-column codes into a map key and
+// unpacks it again: RadixKeys or WideKeys.
+type TupleCodec[K comparable] interface {
+	Key(tuple []uint32) K
+	Decode(key K, tuple []uint32)
+}
+
+// wideInterned is WideKeys returning one shared string per distinct
+// tuple: the key is packed into a reused buffer and looked up, so only
+// a tuple's first sight allocates.
+type wideInterned struct {
+	WideKeys
+	buf  []byte
+	seen map[string]string
+}
+
+func (w *wideInterned) Key(tuple []uint32) string {
+	w.buf = w.Append(w.buf[:0], tuple)
+	if key, ok := w.seen[string(w.buf)]; ok {
+		return key
+	}
+	key := string(w.buf)
+	w.seen[key] = key
+	return key
+}
+
+// countTuples is CountBins over one key type: count the rows per code
+// tuple, then spell each tuple's key once into dst.
+func countTuples[C ~uint32 | ~int32, K comparable, T TupleCodec[K]](dst map[string]int, spell [][]string, codes [][]C, rows int, weights []int, keys T) {
+	tuple := make([]uint32, len(codes))
+	counts := make(map[K]int)
+	for row := 0; row < rows; row++ {
+		for c, col := range codes {
+			tuple[c] = uint32(col[row])
+		}
+		w := 1
+		if weights != nil {
+			w = weights[row]
+		}
+		counts[keys.Key(tuple)] += w
+	}
+	var key []byte
+	for k, n := range counts {
+		keys.Decode(k, tuple)
+		key = appendBinKey(key[:0], func(c int) string { return spell[c][tuple[c]] }, len(tuple))
+		dst[string(key)] += n
+	}
 }
 
 // MinBinSize returns the smallest bin size of the table over cols.

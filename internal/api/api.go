@@ -417,12 +417,18 @@ func ParseStrategy(s string) (binning.Strategy, error) {
 // trailing garbage. Size limiting is the caller's concern
 // (http.MaxBytesReader in the server).
 func DecodeJSON(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(v); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return fmt.Errorf("api: decoding request: %w", err)
 	}
-	if dec.More() {
-		return fmt.Errorf("api: trailing data after JSON document")
+	return UnmarshalJSON(data, v)
+}
+
+// UnmarshalJSON decodes the JSON document data into v. Anything but
+// whitespace after the document is rejected.
+func UnmarshalJSON(data []byte, v any) error {
+	if err := json.Unmarshal(data, v); err != nil {
+		return fmt.Errorf("api: decoding request: %w", err)
 	}
 	return nil
 }

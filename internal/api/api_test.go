@@ -168,3 +168,18 @@ func TestDecodeJSONTrailingGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUnmarshalJSON: one document plus whitespace decodes; anything
+// after it fails with the decoding prefix.
+func TestUnmarshalJSON(t *testing.T) {
+	var v map[string]any
+	if err := UnmarshalJSON([]byte(" {\"a\":1}\n"), &v); err != nil || v["a"] != 1.0 {
+		t.Fatalf("valid document: %v, %v", v, err)
+	}
+	for _, in := range []string{`{"a":1} trailing`, `{"a":1}]`, `{"a":1}}`, `{"a":1} {"b":2}`, ``} {
+		err := UnmarshalJSON([]byte(in), &v)
+		if err == nil || !strings.HasPrefix(err.Error(), "api: decoding request: ") {
+			t.Errorf("%q: err = %v, want a decoding error", in, err)
+		}
+	}
+}

@@ -2,11 +2,10 @@ package binning
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"hash/maphash"
-	"math"
 
+	"repro/internal/anonymity"
 	"repro/internal/dht"
 	"repro/internal/pool"
 )
@@ -68,26 +67,14 @@ func betterGreedyMove(a, b *greedyMove) bool {
 }
 
 // nodeBases returns the per-column radix bases (tree size + 1, so 0 can
-// encode "uncovered") and place values for composing a joint bin key
-// from covering NodeIDs, and whether the product fits in uint64.
-func nodeBases(cols []string, mingends map[string]dht.GenSet) (bases, places []uint64, fits bool) {
-	bases = make([]uint64, len(cols))
-	places = make([]uint64, len(cols))
-	prod := uint64(1)
+// encode "uncovered") for composing a joint bin key from covering
+// NodeIDs.
+func nodeBases(cols []string, mingends map[string]dht.GenSet) []uint64 {
+	bases := make([]uint64, len(cols))
 	for ci, col := range cols {
-		base := uint64(mingends[col].Tree().Size()) + 1
-		bases[ci] = base
-		if prod > math.MaxUint64/base {
-			return nil, nil, false
-		}
-		prod *= base
+		bases[ci] = uint64(mingends[col].Tree().Size()) + 1
 	}
-	place := uint64(1)
-	for ci := len(cols) - 1; ci >= 0; ci-- {
-		places[ci] = place
-		place *= bases[ci]
-	}
-	return bases, places, true
+	return bases
 }
 
 // coverNodes maps every tree node to its covering frontier member's
@@ -109,47 +96,20 @@ func coverNodes(gen dht.GenSet) []uint32 {
 // (covering NodeID + 1) and decomposes it again; hash partitions keys
 // for the sharded build.
 type binCodec[K comparable] interface {
-	key(comps []uint32) K
-	decode(key K, comps []uint32)
+	anonymity.TupleCodec[K]
 	hash(key K) uint64
 }
 
-// radixCodec keys bins by the uint64 mixed radix of nodeBases.
-type radixCodec struct{ bases, places []uint64 }
-
-func (c radixCodec) key(comps []uint32) uint64 {
-	var key uint64
-	for ci, v := range comps {
-		key += uint64(v) * c.places[ci]
-	}
-	return key
-}
-
-func (c radixCodec) decode(key uint64, comps []uint32) {
-	for ci := range comps {
-		comps[ci] = uint32((key / c.places[ci]) % c.bases[ci])
-	}
-}
+// radixCodec keys bins by the uint64 mixed radix over nodeBases.
+type radixCodec struct{ anonymity.RadixKeys }
 
 func (radixCodec) hash(key uint64) uint64 { return key }
 
-// wideCodec keys bins by four little-endian bytes per component, for
-// tree sets whose radix product overflows uint64.
-type wideCodec struct{ seed maphash.Seed }
-
-func (wideCodec) key(comps []uint32) string {
-	buf := make([]byte, 0, 4*len(comps))
-	for _, v := range comps {
-		buf = binary.LittleEndian.AppendUint32(buf, v)
-	}
-	return string(buf)
-}
-
-func (wideCodec) decode(key string, comps []uint32) {
-	for ci := range comps {
-		b := key[4*ci : 4*ci+4]
-		comps[ci] = uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-	}
+// wideCodec keys bins by four bytes per component, for tree sets whose
+// radix product overflows uint64.
+type wideCodec struct {
+	anonymity.WideKeys
+	seed maphash.Seed
 }
 
 func (c wideCodec) hash(key string) uint64 { return maphash.String(c.seed, key) }
@@ -221,7 +181,7 @@ func buildBins[K comparable, C binCodec[K]](ctx context.Context, workers int, ro
 			for ci := range cover {
 				comps[ci] = cover[ci][rowLeaves[ci][row]]
 			}
-			key := codec.key(comps)
+			key := codec.Key(comps)
 			w := 1
 			if weights != nil {
 				w = weights[row]
@@ -259,7 +219,7 @@ func buildBins[K comparable, C binCodec[K]](ctx context.Context, workers int, ro
 	comps := make([]uint32, len(cover))
 	for p, part := range parts {
 		for key, n := range part {
-			codec.decode(key, comps)
+			codec.Decode(key, comps)
 			for ci, v := range comps {
 				g.comp[ci] = append(g.comp[ci], v)
 			}
@@ -289,8 +249,8 @@ func multiGreedy(
 	weights []int,
 	stats *MultiStats,
 ) (map[string]dht.GenSet, MultiStats, error) {
-	if bases, places, fits := nodeBases(cols, mingends); fits {
-		return greedyAscend(ctx, cols, mingends, maxgends, k, workers, rowLeaves, weights, stats, radixCodec{bases: bases, places: places})
+	if radix, fits := anonymity.NewRadixKeys(nodeBases(cols, mingends)); fits {
+		return greedyAscend(ctx, cols, mingends, maxgends, k, workers, rowLeaves, weights, stats, radixCodec{radix})
 	}
 	return greedyAscend(ctx, cols, mingends, maxgends, k, workers, rowLeaves, weights, stats, wideCodec{seed: maphash.MakeSeed()})
 }
@@ -409,7 +369,7 @@ func greedyAscend[K comparable, C binCodec[K]](
 			for cj := range comps {
 				comps[cj] = bins.comp[cj][b]
 			}
-			key := codec.key(comps)
+			key := codec.Key(comps)
 			t, ok := group[key]
 			if !ok {
 				group[key] = b

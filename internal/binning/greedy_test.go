@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/anonymity"
 	"repro/internal/datagen"
 	"repro/internal/dht"
 	"repro/internal/ontology"
@@ -185,17 +186,17 @@ func (c *foldCensus) census(rowLeaves [][]dht.NodeID, weights []int, cols []stri
 			if weights != nil {
 				w = weights[row]
 			}
-			hist[codec.key(comps)] += w
+			hist[codec.Key(comps)] += w
 		}
 		tree := cur[st.ci].Tree()
 		groups := map[string][]int{}
 		for key, n := range hist {
-			codec.decode(key, comps)
+			codec.Decode(key, comps)
 			if tree.Parent(dht.NodeID(comps[st.ci]-1)) != st.parent {
 				continue
 			}
 			comps[st.ci] = uint32(st.parent) + 1
-			target := codec.key(comps)
+			target := codec.Key(comps)
 			groups[target] = append(groups[target], n)
 		}
 		for _, members := range groups {
@@ -287,15 +288,15 @@ func wideTree(rng *rand.Rand) *dht.Tree {
 }
 
 // TestMultiGreedyWideKeyMatchesRescan forces the ascent onto the wide
-// string bin key — wide trees times many quasi columns, so nodeBases
-// reports an overflow — and holds it to the rescan oracle over rows and
+// string bin key — wide trees times many quasi columns, so the radix over
+// nodeBases overflows — and holds it to the rescan oracle over rows and
 // over weighted sketch tuples.
 func TestMultiGreedyWideKeyMatchesRescan(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tbl, cols, trees, ming, maxg := randomQuasiTable(t, rng, 10, 1000+rng.Intn(1000), wideTree)
-		if _, _, fits := nodeBases(cols, ming); fits {
+		if _, fits := anonymity.NewRadixKeys(nodeBases(cols, ming)); fits {
 			t.Fatalf("seed %d: bin radix fits uint64; want the wide key", seed)
 		}
 		rowLeaves, err := resolveRowLeaves(ctx, tbl, cols, ming)

@@ -459,8 +459,8 @@ func (s *SearchResult) GeneralizedBins(cols []string, gens map[string]dht.GenSet
 		return nil, fmt.Errorf("binning: search result retains no data for bin statistics")
 	}
 	st := s.tuples
-	colAt := make([]int, len(cols))
-	genVal := make([]map[dht.NodeID]string, len(cols))
+	spell := make([][]string, len(cols))
+	leaves := make([][]dht.NodeID, len(cols))
 	for i, c := range cols {
 		ci := -1
 		for j, col := range st.cols {
@@ -472,37 +472,30 @@ func (s *SearchResult) GeneralizedBins(cols []string, gens map[string]dht.GenSet
 		if ci < 0 {
 			return nil, fmt.Errorf("anonymity: no generalization frontier for column %s", c)
 		}
-		if _, ok := gens[c]; !ok {
+		gen, ok := gens[c]
+		if !ok {
 			return nil, fmt.Errorf("anonymity: no generalization frontier for column %s", c)
 		}
-		colAt[i] = ci
-		genVal[i] = make(map[dht.NodeID]string)
+		// Spell each leaf some tuple holds as its covering frontier
+		// member's value, once per leaf.
+		tree := st.trees[ci]
+		spell[i] = make([]string, tree.Size())
+		spelled := make([]bool, tree.Size())
+		for _, leaf := range st.leaves[ci] {
+			if spelled[leaf] {
+				continue
+			}
+			member, covered := gen.CoverOf(leaf)
+			if !covered {
+				return nil, fmt.Errorf("anonymity: column %s value %q: %w", c, tree.Value(leaf),
+					fmt.Errorf("dht: value %q sits above the generalization frontier of %s", tree.Value(leaf), tree.Attr()))
+			}
+			spell[i][leaf] = tree.Value(member)
+			spelled[leaf] = true
+		}
+		leaves[i] = st.leaves[ci]
 	}
 	out := make(map[string]int)
-	var key []byte
-	ntuples := len(st.counts)
-	for t := 0; t < ntuples; t++ {
-		key = key[:0]
-		for i, c := range cols {
-			ci := colAt[i]
-			leaf := st.leaves[ci][t]
-			g, ok := genVal[i][leaf]
-			if !ok {
-				tree := st.trees[ci]
-				member, covered := gens[c].CoverOf(leaf)
-				if !covered {
-					return nil, fmt.Errorf("anonymity: column %s value %q: %w", c, tree.Value(leaf),
-						fmt.Errorf("dht: value %q sits above the generalization frontier of %s", tree.Value(leaf), tree.Attr()))
-				}
-				g = tree.Value(member)
-				genVal[i][leaf] = g
-			}
-			if i > 0 {
-				key = append(key, '\x1f')
-			}
-			key = append(key, g...)
-		}
-		out[string(key)] += st.counts[t]
-	}
+	anonymity.CountBins(out, spell, leaves, len(st.counts), st.counts)
 	return out, nil
 }

@@ -298,7 +298,7 @@ func (f *Framework) FingerprintStream(ctx context.Context, tbl *relation.Table, 
 				return nil, fmt.Errorf("core: fingerprinting for recipient %q: %w", recipients[i].ID, err)
 			}
 			addEmbed(&st.res.Embed, segStats)
-			if err := addBins(st.after, marked, st.prep.quasi); err != nil {
+			if err := anonymity.AddBins(st.after, marked, st.prep.quasi); err != nil {
 				return nil, err
 			}
 			if err := st.sw.WriteSegment(marked); err != nil {

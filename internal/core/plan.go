@@ -152,7 +152,7 @@ func ParsePlan(data []byte) (*Plan, error) {
 	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("core: decoding plan: %w: %w", err, ErrBadProvenance)
 	}
-	if dec.More() {
+	if len(bytes.Trim(data[dec.InputOffset():], " \t\r\n")) > 0 {
 		return nil, fmt.Errorf("core: trailing data after plan document: %w", ErrBadProvenance)
 	}
 	if err := p.Validate(); err != nil {

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/crypt"
+	"repro/internal/datagen"
 	"repro/internal/ontology"
 	"repro/internal/relation"
 )
@@ -257,5 +259,93 @@ func TestApplyValidation(t *testing.T) {
 	}
 	if _, err := fw.Apply(tbl, plan, crypt.WatermarkKey{}); !errors.Is(err, ErrBadKey) {
 		t.Errorf("bad key: %v, want ErrBadKey", err)
+	}
+}
+
+// FuzzParsePlan feeds hostile bytes to the plan parser: it must never
+// panic, every rejection must wrap ErrBadProvenance, and an accepted
+// plan must survive MarshalPlan → ParsePlan unchanged. Seeds are a real
+// protected plan (with its bin record), truncations of it, and
+// documents with trailing bytes.
+func FuzzParsePlan(f *testing.F) {
+	fw, err := New(ontology.Trees(), Config{K: 15, AutoEpsilon: true})
+	if err != nil {
+		f.Fatal(err)
+	}
+	tbl, err := datagen.Generate(datagen.Config{Rows: 600, Seed: 77, Correlate: true, ZipfS: 1.2})
+	if err != nil {
+		f.Fatal(err)
+	}
+	prot, err := fw.Protect(tbl, crypt.NewWatermarkKeyFromSecret("fuzz plan", 25))
+	if err != nil {
+		f.Fatal(err)
+	}
+	good, err := MarshalPlan(&prot.Plan)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	for _, n := range []int{0, 1, len(good) / 4, len(good) / 2, len(good) - 2, len(good) - 1} {
+		f.Add(good[:n])
+	}
+	for _, tail := range []string{"\n", "]", "}", " {}", "x"} {
+		f.Add(append(bytes.Clone(good), tail...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ParsePlan(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadProvenance) {
+				t.Fatalf("rejection does not wrap ErrBadProvenance: %v", err)
+			}
+			return
+		}
+		out, err := MarshalPlan(p)
+		if err != nil {
+			t.Fatalf("accepted plan does not marshal: %v", err)
+		}
+		back, err := ParsePlan(out)
+		if err != nil {
+			t.Fatalf("marshalled plan rejected: %v\n%s", err, out)
+		}
+		// omitempty drops empty maps, which parse back as nil.
+		for _, q := range []*Plan{p, back} {
+			if len(q.MinGens) == 0 {
+				q.MinGens = nil
+			}
+			if len(q.Suppress) == 0 {
+				q.Suppress = nil
+			}
+			if len(q.ColumnLoss) == 0 {
+				q.ColumnLoss = nil
+			}
+			if len(q.Bins) == 0 {
+				q.Bins = nil
+			}
+		}
+		if !reflect.DeepEqual(p, back) {
+			t.Fatalf("plan changed through MarshalPlan → ParsePlan:\nparsed: %+v\nback:   %+v", p, back)
+		}
+	})
+}
+
+// TestParsePlanTrailingBytes: only whitespace may follow the plan
+// document — a stray closing bracket is trailing data too.
+func TestParsePlanTrailingBytes(t *testing.T) {
+	fw := testFramework(t)
+	plan, err := fw.Plan(testData(t, 1500), crypt.NewWatermarkKeyFromSecret("trailing", 25))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := MarshalPlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{"]", "}", " ]", "\n}", "x", " {}", "\u00a0"} {
+		if _, err := ParsePlan(append(bytes.Clone(good), tail...)); !errors.Is(err, ErrBadProvenance) {
+			t.Errorf("trailing %q: error %v, want ErrBadProvenance", tail, err)
+		}
+	}
+	if _, err := ParsePlan(append(bytes.Clone(good), " \t\r\n"...)); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
 	}
 }

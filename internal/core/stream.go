@@ -56,18 +56,6 @@ type Streamed struct {
 	Suppressed int
 }
 
-// addBins accumulates tbl's joint quasi-column bins into dst.
-func addBins(dst map[string]int, tbl *relation.Table, quasi []string) error {
-	bins, err := anonymity.Bins(tbl, quasi)
-	if err != nil {
-		return err
-	}
-	for bin, n := range bins {
-		dst[bin] += n
-	}
-	return nil
-}
-
 // addEmbed accumulates per-segment embedding counters.
 func addEmbed(dst *watermark.EmbedStats, s watermark.EmbedStats) {
 	dst.TuplesSelected += s.TuplesSelected
@@ -113,7 +101,7 @@ func (f *Framework) ApplyStream(ctx context.Context, src Segments, plan *Plan, k
 		if err != nil {
 			return nil, err
 		}
-		if err := addBins(before, binned, job.quasi); err != nil {
+		if err := anonymity.AddBins(before, binned, job.quasi); err != nil {
 			return nil, err
 		}
 		if err := job.embed(ctx, binned); err != nil {
@@ -347,7 +335,7 @@ func (j *streamJob) embed(ctx context.Context, tbl *relation.Table) error {
 		return err
 	}
 	addEmbed(&j.res.Embed, stats)
-	return addBins(j.after, tbl, j.quasi)
+	return anonymity.AddBins(j.after, tbl, j.quasi)
 }
 
 // readAhead reads src one segment ahead of its consumer: src.Next runs

@@ -195,8 +195,13 @@ func (c *column) intern(v string) uint32 {
 	if code, ok := c.index[v]; ok {
 		return code
 	}
+	return c.add(strings.Clone(v))
+}
+
+// add appends v, absent from the dictionary, and returns its code. v is
+// kept as given; intern clones before it adds.
+func (c *column) add(v string) uint32 {
 	code := uint32(len(c.dict))
-	v = strings.Clone(v)
 	c.dict = append(c.dict, v)
 	c.index[v] = code
 	return code
@@ -639,6 +644,12 @@ func (t *Table) ForEachRowChunk(chunk int, fn func(lo, hi int) error) error {
 // number of rows whose value changed is returned. fn must be
 // deterministic; a row-level scan applying a deterministic fn yields
 // exactly the same table.
+//
+// fn's results go into the rebuilt dictionary as returned, without a
+// copy, so fn must not return a string that pins a larger buffer (a
+// substring of a CSV record, say). A freshly built string (a cipher
+// token), a constant such as a DHT tree label, or the input value
+// itself all qualify.
 func (t *Table) MapColumn(col int, fn func(value string) (string, error)) (int, error) {
 	return t.MapColumnCtx(context.Background(), 1, col, fn)
 }
@@ -646,7 +657,9 @@ func (t *Table) MapColumn(col int, fn func(value string) (string, error)) (int, 
 // MapColumnCtx is MapColumn with the per-entry fn calls fanned out over
 // workers (0 = GOMAXPROCS, 1 = sequential) under ctx. The rebuilt
 // dictionary is ordered by first use regardless of worker count, and the
-// error of the lowest failing dictionary entry is reported.
+// error of the lowest failing dictionary entry is reported. The new
+// dictionary and its index are allocated once, at the number of entries
+// in use.
 func (t *Table) MapColumnCtx(ctx context.Context, workers, col int, fn func(value string) (string, error)) (int, error) {
 	c := &t.cols[col]
 	n := len(c.dict)
@@ -656,6 +669,12 @@ func (t *Table) MapColumnCtx(ctx context.Context, workers, col int, fn func(valu
 	rowsPer := make([]int, n)
 	for _, code := range c.codes {
 		rowsPer[code]++
+	}
+	inUse := 0
+	for _, r := range rowsPer {
+		if r > 0 {
+			inUse++
+		}
 	}
 	results := make([]string, n)
 	if err := pool.ForEachCtx(ctx, workers, n, func(k int) error {
@@ -671,15 +690,19 @@ func (t *Table) MapColumnCtx(ctx context.Context, workers, col int, fn func(valu
 	}); err != nil {
 		return 0, err
 	}
-	next := column{}
+	next := column{dict: make([]string, 0, inUse), index: make(map[string]uint32, inUse)}
 	remap := make([]uint32, n)
 	changed := 0
-	for k := 0; k < n; k++ {
+	for k, v := range results {
 		if rowsPer[k] == 0 {
 			continue
 		}
-		remap[k] = next.intern(results[k])
-		if results[k] != c.dict[k] {
+		code, ok := next.index[v]
+		if !ok {
+			code = next.add(v)
+		}
+		remap[k] = code
+		if v != c.dict[k] {
 			changed += rowsPer[k]
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -133,7 +134,7 @@ func (jr jobRunner) Secret(job jobs.Job) string {
 // rules as the sync endpoints, tagged bad_request (permanent — a
 // malformed body never deserves a retry).
 func decodeJobRequest(data json.RawMessage, v any) error {
-	if err := api.DecodeJSON(bytes.NewReader(data), v); err != nil {
+	if err := api.UnmarshalJSON(data, v); err != nil {
 		return badRequest(err)
 	}
 	return nil
@@ -169,7 +170,7 @@ func (s *Server) control(h func(w http.ResponseWriter, r *http.Request) (int, er
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) (int, error) {
 	kind := r.PathValue("kind")
 	tid := tenantIDFrom(r.Context())
-	body, err := readAll(r.Body)
+	body, err := io.ReadAll(r.Body)
 	if err != nil {
 		return 0, err
 	}
@@ -391,16 +392,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, api.ReadyResponse{Ready: true, Status: "ok"})
-}
-
-// readAll drains a request body, mapping the MaxBytesReader trip to its
-// usual 413.
-func readAll(r interface{ Read([]byte) (int, error) }) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(r); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 func queryInt(s string, def int) (int, error) {

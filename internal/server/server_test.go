@@ -300,6 +300,91 @@ func TestBodyTooLarge(t *testing.T) {
 	}
 }
 
+// TestBodyContentLength: JSON bodies read whole whatever Content-Length
+// declares, and a body over MaxBodyBytes stays 413 even under a
+// declared length that claims it fits — on a sync route and on job
+// submit.
+func TestBodyContentLength(t *testing.T) {
+	s, err := New(Config{Defaults: core.Config{K: 15, AutoEpsilon: true}, MaxBodyBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Close(ctx)
+	})
+	wire, err := api.EncodeTable(testTable(t, 200), api.OutputRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(api.ProtectRequest{Table: wire, Key: api.Key{Secret: "s", Eta: 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func(path string, body []byte, declared int64) (int, []byte) {
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, req)
+		return rec.Code, rec.Body.Bytes()
+	}
+	n := int64(len(body))
+	for _, declared := range []int64{n, n + 4096, 64, -1} {
+		if status, raw := serve("/v1/protect", body, declared); status != http.StatusOK {
+			t.Fatalf("protect, declared %d of %d bytes: %d %.200s", declared, n, status, raw)
+		}
+	}
+	if status, raw := serve("/v1/jobs/protect", body, 64); status != http.StatusAccepted {
+		t.Fatalf("job submit, declared 64 of %d bytes: %d %.200s", n, status, raw)
+	}
+
+	big := append(bytes.Repeat([]byte(" "), 1<<20), body...)
+	for _, path := range []string{"/v1/protect", "/v1/jobs/protect"} {
+		for _, declared := range []int64{64, int64(len(big)), 1 << 40} {
+			status, raw := serve(path, big, declared)
+			var e api.ErrorResponse
+			if status != http.StatusRequestEntityTooLarge || json.Unmarshal(raw, &e) != nil || e.Error.Code != api.CodePayloadTooLarge {
+				t.Fatalf("%s over the cap, declared %d: %d %.200s", path, declared, status, raw)
+			}
+		}
+	}
+}
+
+// TestBodyDeclaredLengthReservesNothing: a Content-Length at the body
+// cap over a two-byte body makes the server allocate for the bytes that
+// arrive, not for the declared length, so a client that declares a
+// large body and stalls costs nothing in advance.
+func TestBodyDeclaredLengthReservesNothing(t *testing.T) {
+	const limit = 64 << 20
+	s, err := New(Config{Defaults: core.Config{K: 15, AutoEpsilon: true}, MaxBodyBytes: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.Close(ctx)
+	})
+	for _, path := range []string{"/v1/protect", "/v1/jobs/protect"} {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader("{\n"))
+		req.Header.Set("Content-Type", "application/json")
+		req.ContentLength = limit
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s.Handler().ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: %d %.200s", path, rec.Code, rec.Body.Bytes())
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit/8 {
+			t.Fatalf("%s: a 2-byte body declared at %d bytes allocated %d bytes", path, limit, got)
+		}
+	}
+}
+
 // TestRequestDeadline: a server-side per-request timeout far below the
 // pipeline's runtime must abort the run with 504/deadline_exceeded.
 func TestRequestDeadline(t *testing.T) {
