@@ -11,11 +11,11 @@
 //	medprotect plan     -in data.csv -k K -eta E -secret S -plan plan.json [-workers W]
 //	medprotect apply    -in data.csv -plan plan.json -secret S -out protected.csv [-prov prov.json] [-stream] [-chunk N] [-workers W]
 //	medprotect append   -in delta.csv -plan plan.json -secret S -out delta-protected.csv [-base protected.csv] [-stream] [-chunk N] [-workers W]
-//	medprotect detect   -in suspect.csv -prov prov.json -secret S [-stream] [-chunk N] [-workers W]
+//	medprotect detect   -in suspect.csv -prov prov.json -secret S [-chunk N] [-workers W]
 //	medprotect attack   -in protected.csv -out attacked.csv -prov prov.json -kind alter|add|delete|rangedelete|generalize -frac F [-col C] [-levels L] -seed S
 //	medprotect dispute  -in disputed.csv -prov prov.json -secret S
 //	medprotect fingerprint -in data.csv -k K -eta E -secret S -recipients a,b,c -outdir DIR -registry reg.json [-stream] [-chunk N] [-workers W]
-//	medprotect traceback   -in suspect.csv -registry reg.json -secret S [-stream] [-chunk N] [-workers W]
+//	medprotect traceback   -in suspect.csv -registry reg.json -secret S [-chunk N] [-workers W]
 //	medprotect trees    -dir DIR
 //	medprotect job      submit|status|wait|cancel|list -server URL ... (async jobs against medshield-server)
 //	medprotect admin    tenant create|list|rotate|delete|disable|enable -store tenants.json ... (provision medshield-server tenants)
@@ -35,11 +35,10 @@
 // recipient-salted mark and key derived from the master secret) and
 // registers every copy in a recipient registry. traceback runs
 // detection for all registered recipients against a leaked table and
-// names the best-matching recipient. The read side streams too: detect
-// and traceback take -stream to consume the suspect segment-at-a-time
-// (memory bounded by -chunk rows, bit-identical verdicts), and
-// fingerprint -stream writes all recipient copies through one shared
-// transform without materializing any of them.
+// names the best-matching recipient. detect and traceback always read
+// the suspect segment-at-a-time, so their memory is bounded by -chunk
+// rows; fingerprint -stream writes all recipient copies through one
+// shared transform without materializing any of them.
 package main
 
 import (
@@ -613,8 +612,7 @@ func cmdDetect(args []string) error {
 	provPath := fs.String("prov", "prov.json", "provenance path")
 	secret := fs.String("secret", "", "owner secret passphrase (required)")
 	eta := fs.Uint64("eta", 75, "η used at protection time")
-	stream := fs.Bool("stream", false, "detect segment-at-a-time (bounded memory, identical verdict)")
-	chunk := fs.Int("chunk", 0, "streaming segment size in rows (0 = default)")
+	chunk := fs.Int("chunk", 0, "segment size in rows the suspect is read in (0 = default)")
 	workers := fs.Int("workers", 0, "worker goroutines for detection (0 = all cores, 1 = sequential)")
 	_ = fs.Parse(args)
 	if *secret == "" {
@@ -630,30 +628,18 @@ func cmdDetect(args []string) error {
 	if err != nil {
 		return err
 	}
-	var det *medshield.Detection
-	if *stream {
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sr, err := medshield.NewSegmentReader(f, medshield.BuiltinSchema(), fw.Config().Chunk)
-		if err != nil {
-			return err
-		}
-		ds, err := fw.DetectStream(context.Background(), sr, prov, medshield.NewKey(*secret, *eta))
-		if err != nil {
-			return err
-		}
-		det = &ds.Detection
-	} else {
-		tbl, err := medshield.LoadCSVFile(*in, medshield.BuiltinSchema())
-		if err != nil {
-			return err
-		}
-		if det, err = fw.Detect(tbl, prov, medshield.NewKey(*secret, *eta)); err != nil {
-			return err
-		}
+	f, err := os.Open(*in)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	sr, err := medshield.NewSegmentReader(f, medshield.BuiltinSchema(), fw.Config().Chunk)
+	if err != nil {
+		return err
+	}
+	det, err := fw.DetectStream(context.Background(), sr, prov, medshield.NewKey(*secret, *eta))
+	if err != nil {
+		return err
 	}
 	fmt.Printf("mark: %s\n", det.Result.Mark.String())
 	fmt.Printf("loss: %.1f%% over %d votes\n", det.MarkLoss*100, det.Result.Stats.VotesCast)
@@ -947,8 +933,7 @@ func cmdTraceback(args []string) error {
 	in := fs.String("in", "suspect.csv", "suspected leaked CSV copy")
 	regPath := fs.String("registry", "recipients.json", "recipient registry path")
 	secret := fs.String("secret", "", "owner master secret passphrase (required)")
-	stream := fs.Bool("stream", false, "trace segment-at-a-time (bounded memory, identical verdicts)")
-	chunk := fs.Int("chunk", 0, "streaming segment size in rows (0 = default)")
+	chunk := fs.Int("chunk", 0, "segment size in rows the suspect is read in (0 = default)")
 	workers := fs.Int("workers", 0, "worker goroutines for detection (0 = all cores, 1 = sequential)")
 	_ = fs.Parse(args)
 	if *secret == "" {
@@ -975,36 +960,20 @@ func cmdTraceback(args []string) error {
 	if err != nil {
 		return err
 	}
-	var (
-		tb   *medshield.Traceback
-		rows int
-	)
-	if *stream {
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		sr, err := medshield.NewSegmentReader(f, medshield.BuiltinSchema(), fw.Config().Chunk)
-		if err != nil {
-			return err
-		}
-		ts, err := fw.TracebackStream(context.Background(), sr, cands)
-		if err != nil {
-			return err
-		}
-		tb, rows = &ts.Traceback, ts.Rows
-	} else {
-		tbl, err := medshield.LoadCSVFile(*in, medshield.BuiltinSchema())
-		if err != nil {
-			return err
-		}
-		if tb, err = fw.Traceback(tbl, cands); err != nil {
-			return err
-		}
-		rows = tbl.NumRows()
+	f, err := os.Open(*in)
+	if err != nil {
+		return err
 	}
-	fmt.Printf("traceback over %d rows against %d registered recipients:\n", rows, len(cands))
+	defer f.Close()
+	sr, err := medshield.NewSegmentReader(f, medshield.BuiltinSchema(), fw.Config().Chunk)
+	if err != nil {
+		return err
+	}
+	tb, err := fw.TracebackStream(context.Background(), sr, cands)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("traceback over %d rows against %d registered recipients:\n", tb.Rows, len(cands))
 	for rank, v := range tb.Verdicts {
 		status := " "
 		if v.Match {

@@ -551,33 +551,15 @@ func (f *Framework) Detect(tbl *relation.Table, prov Provenance, key crypt.Water
 	return f.DetectContext(context.Background(), tbl, prov, key)
 }
 
-// DetectContext is Detect under a context: the sharded vote-harvesting
-// scan aborts promptly with the context's error on cancellation.
+// DetectContext is Detect under a context. It is DetectStream over the
+// table as its own single segment, so the in-memory and streamed
+// verdicts are bit-identical by construction.
 func (f *Framework) DetectContext(ctx context.Context, tbl *relation.Table, prov Provenance, key crypt.WatermarkKey) (*Detection, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := key.Validate(); err != nil {
-		return nil, fmt.Errorf("%w: %w", err, ErrBadKey)
-	}
-	columns, err := f.SpecsFromProvenance(prov)
+	out, err := f.DetectStream(ctx, &wholeTable{tbl: tbl}, prov, key)
 	if err != nil {
 		return nil, err
 	}
-	params, err := paramsFromProvenance(prov, key)
-	if err != nil {
-		return nil, err
-	}
-	params.Workers = f.cfg.Workers
-	res, err := watermark.DetectContext(ctx, tbl, prov.IdentCol, columns, params)
-	if err != nil {
-		return nil, err
-	}
-	loss, err := params.Mark.LossFraction(res.Mark)
-	if err != nil {
-		return nil, err
-	}
-	return &Detection{Result: res, MarkLoss: loss, Match: loss <= f.cfg.LossThreshold}, nil
+	return &out.Detection, nil
 }
 
 // Dispute arbitrates ownership of a disputed table (§5.4). The owner's

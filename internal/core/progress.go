@@ -12,8 +12,8 @@ type Progress struct {
 	Stage string `json:"stage"`
 	// Done and Total count stage units: stages for protect (plan+apply),
 	// the shared transform then per-recipient embeds for fingerprint,
-	// candidates for traceback, rows for the streaming data plane
-	// (detect/traceback streams included).
+	// rows for the streaming data plane (detect and traceback, in-memory
+	// or streamed, included).
 	Done  int `json:"done"`
 	Total int `json:"total,omitempty"`
 }
@@ -23,11 +23,10 @@ type progressKey struct{}
 
 // WithProgress returns a context that delivers pipeline progress to fn.
 // The long-running Framework methods (ProtectContext, ApplyContext,
-// FingerprintContext, TracebackContext, ApplyStream, AppendStream)
-// report coarse-grained progress through it — the async job layer
-// threads this into per-job SSE streams. fn must be cheap, must not
-// block, and must be safe for concurrent use: fan-out stages (the
-// traceback candidate scan) report from worker goroutines.
+// FingerprintContext, the detect and traceback forms, and the streamed
+// operations) report coarse-grained progress through it — the async job
+// layer threads this into per-job SSE streams. fn must be cheap, must
+// not block, and must be safe for concurrent use.
 func WithProgress(ctx context.Context, fn func(Progress)) context.Context {
 	if fn == nil {
 		return ctx

@@ -9,20 +9,42 @@ import (
 	"repro/internal/bitstr"
 	"repro/internal/crypt"
 	"repro/internal/pool"
+	"repro/internal/relation"
 	"repro/internal/watermark"
 )
 
-// This file is the read side of the streaming data plane: detection and
-// traceback over a Segments source, mirroring what ApplyStream and
-// PlanStream do for the write side. The voting walks of Figure 9 are
+// This file is the read side of the data plane: detection and traceback
+// over a Segments source, mirroring what ApplyStream and PlanStream do
+// for the write side. It is the only implementation of both — the
+// in-memory DetectContext and TracebackContext run it over the table as
+// its own single segment. The voting walks of Figure 9 are
 // segmentation-safe — every vote carries integer weight 1 and lands on
 // a position derived only from the tuple's encrypted identifier — so
 // per-segment walks accumulated into one persistent vote board, folded
-// once at end-of-stream, reproduce the in-memory results bit for bit
-// while the resident row set stays bounded by the segment size.
+// once at end-of-stream, reproduce a whole-table scan bit for bit while
+// the resident row set stays bounded by the segment size.
 
-// DetectStreamed is DetectStream's report: the in-memory Detection
-// verdict plus ingest counters.
+// wholeTable is the one-segment source behind DetectContext and
+// TracebackContext: its first Next hands back the caller's table itself,
+// then io.EOF. Nothing is copied or re-encoded — the read side never
+// mutates a segment.
+type wholeTable struct {
+	tbl  *relation.Table
+	done bool
+}
+
+func (w *wholeTable) Schema() *relation.Schema { return w.tbl.Schema() }
+
+func (w *wholeTable) Next() (*relation.Table, error) {
+	if w.done {
+		return nil, io.EOF
+	}
+	w.done = true
+	return w.tbl, nil
+}
+
+// DetectStreamed is DetectStream's report: the Detection verdict plus
+// ingest counters.
 type DetectStreamed struct {
 	Detection
 	// Rows and Segments count the consumed suspect input.
@@ -34,9 +56,9 @@ type DetectStreamed struct {
 // are built, its votes harvested into one persistent replicated board,
 // and the segment dropped — so peak memory is bounded by the segment
 // size, not the suspect size. The recovered mark, confidences,
-// statistics and match verdict are bit-identical to DetectContext over
-// the materialized concatenation of the segments, for every segment
-// size and worker count.
+// statistics and match verdict are bit-identical to the whole-table
+// scan watermark.DetectContext over the materialized concatenation of
+// the segments, for every segment size and worker count.
 //
 // src.Next runs on another goroutine, one segment ahead of the work on
 // the current one, and never after the call returns.
@@ -98,8 +120,8 @@ func (f *Framework) DetectStream(ctx context.Context, src Segments, prov Provena
 	return out, nil
 }
 
-// TracebackStreamed is TracebackStream's report: the ranked in-memory
-// Traceback plus ingest counters.
+// TracebackStreamed is TracebackStream's report: the ranked Traceback
+// plus ingest counters.
 type TracebackStreamed struct {
 	Traceback
 	// Rows and Segments count the consumed suspect input.
@@ -109,16 +131,19 @@ type TracebackStreamed struct {
 // TracebackStream ranks the registered recipients against a suspect
 // consumed segment-at-a-time. Per segment it rebuilds the shared
 // suspect-side state — one verdict-table set per distinct
-// frontier/policy group, one Equation (5) selection per distinct
-// (K1, η) pair, exactly the sharing TracebackContext exploits — then
+// frontier/policy group (a registry may hold recipients of several
+// plans), one Equation (5) selection per distinct (K1, η) pair (one in
+// total when the keys come from crypt.RecipientWatermarkKey) — then
 // walks every candidate's votes into that candidate's persistent
-// replicated board. Boards fold once at end-of-stream, so resident
-// state between segments is |candidates| boards of |wmd| positions
-// while the verdict tables and selections stay segment-bounded.
+// replicated board. Tracing N recipients thus costs one suspect scan
+// plus N cheap vote walks instead of N full detections. Boards fold
+// once at end-of-stream, so resident state between segments is
+// |candidates| boards of |wmd| positions while the verdict tables and
+// selections stay segment-bounded.
 //
-// Verdicts, ranking, culprit and match ratios are bit-identical to
-// TracebackContext over the materialized concatenation of the
-// segments, for every segment size and worker count.
+// Each candidate's verdict is bit-identical to an independent
+// DetectStream under its provenance and key, for every segment size and
+// worker count; the ranking is deterministic.
 //
 // src.Next runs on another goroutine, one segment ahead of the work on
 // the current one, and never after the call returns.
@@ -202,11 +227,14 @@ func (f *Framework) TracebackStream(ctx context.Context, src Segments, candidate
 		}
 		// The per-candidate vote walks fan out over the pool: each
 		// candidate owns its board and counters, so worker count cannot
-		// change the tallies.
+		// change the tallies. The walk counts into a local copy, since
+		// neighbouring candidates' counters share cache lines.
 		err = pool.ForEachCtx(ctx, f.cfg.Workers, len(candidates), func(i int) error {
-			if err := states[sigs[i]].AccumulateContext(ctx, sels[sigs[i]][selKeys[i]], params[i], boards[i], &stats[i]); err != nil {
+			st := stats[i]
+			if err := states[sigs[i]].AccumulateContext(ctx, sels[sigs[i]][selKeys[i]], params[i], boards[i], &st); err != nil {
 				return fmt.Errorf("core: candidate %q: %w", candidates[i].ID, err)
 			}
+			stats[i] = st
 			return nil
 		})
 		if err != nil {
@@ -217,8 +245,7 @@ func (f *Framework) TracebackStream(ctx context.Context, src Segments, candidate
 		reportProgress(ctx, Progress{Stage: "traceback", Done: out.Rows})
 	}
 
-	// Fold each candidate's accumulated board into its verdict — the
-	// same final step Suspect.DetectContext performs per candidate.
+	// Fold each candidate's accumulated board into its verdict.
 	verdicts := make([]TracebackVerdict, len(candidates))
 	for i, c := range candidates {
 		folded, err := boards[i].FoldInto(params[i].Mark.Len())

@@ -18,6 +18,7 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/ontology"
 	"repro/internal/relation"
+	"repro/internal/watermark"
 )
 
 // alteredLeak clones a protected copy and runs a 30% alteration attack
@@ -40,15 +41,43 @@ func alteredLeak(t *testing.T, fw *Framework, prot *Protected) *relation.Table {
 	return leak
 }
 
-// sources returns the segment sources the differential tests compare
-// against the in-memory path, by name: tbl's own segments at each of
-// tableChunks, and its CSV rendering read back through SegmentReader at
-// chunks 1, 7, 333 and 4096. With more than 4096 rows, each of those
-// runs the identifier column through the reader's per-segment
-// dictionaries.
+// wholeScanDetect is the detection oracle: the whole-table scan
+// watermark.DetectContext over the materialized suspect, with the mark
+// loss and the framework's threshold applied — a scan independent of
+// the segment accumulation DetectStream (and so Detect) runs.
+func wholeScanDetect(tb testing.TB, fw *Framework, tbl *relation.Table, prov Provenance, key crypt.WatermarkKey) Detection {
+	tb.Helper()
+	columns, err := fw.SpecsFromProvenance(prov)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	params, err := paramsFromProvenance(prov, key)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	params.Workers = fw.cfg.Workers
+	res, err := watermark.DetectContext(context.Background(), tbl, prov.IdentCol, columns, params)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	loss, err := params.Mark.LossFraction(res.Mark)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return Detection{Result: res, MarkLoss: loss, Match: loss <= fw.cfg.LossThreshold}
+}
+
+// sources returns the segment sources the differential tests run, by
+// name: tbl as its own single segment (the source behind Detect and
+// Traceback), tbl's own segments at each of tableChunks, and its CSV
+// rendering read back through SegmentReader at chunks 1, 7, 333 and
+// 4096. With more than 4096 rows, each of those runs the identifier
+// column through the reader's per-segment dictionaries.
 func sources(t *testing.T, tbl *relation.Table, tableChunks ...int) map[string]func() Segments {
 	t.Helper()
-	out := make(map[string]func() Segments)
+	out := map[string]func() Segments{
+		"whole": func() Segments { return &wholeTable{tbl: tbl} },
+	}
 	for _, chunk := range tableChunks {
 		out[fmt.Sprintf("table/%d", chunk)] = func() Segments { return tbl.Segments(chunk) }
 	}
@@ -65,12 +94,32 @@ func sources(t *testing.T, tbl *relation.Table, tableChunks ...int) map[string]f
 	return out
 }
 
-// TestDetectStreamMatchesDetect pins the read-side tentpole guarantee:
-// detection over a segment stream is bit-identical — mark, confidences,
-// statistics, loss and verdict — to DetectContext over the materialized
-// suspect, for every chunk size and worker count, on both a clean and
-// an attacked suspect, whether the segments come from the table or
-// from CSV ingest.
+// TestWholeTableSource pins the one-segment source behind Detect and
+// Traceback: it yields the caller's table itself, not a copy or a
+// re-encoding, then io.EOF.
+func TestWholeTableSource(t *testing.T) {
+	tbl := testData(t, 50)
+	src := &wholeTable{tbl: tbl}
+	if src.Schema() != tbl.Schema() {
+		t.Fatal("schema is not the table's")
+	}
+	seg, err := src.Next()
+	if err != nil || seg != tbl {
+		t.Fatalf("first Next = %p, %v; want the input table %p", seg, err, tbl)
+	}
+	for range 2 {
+		if seg, err := src.Next(); seg != nil || err != io.EOF {
+			t.Fatalf("Next after the table = %v, %v; want nil, io.EOF", seg, err)
+		}
+	}
+}
+
+// TestDetectStreamMatchesDetect pins the read-side guarantee: detection
+// over a segment stream is bit-identical — mark, confidences,
+// statistics, loss and verdict — to the whole-table scan over the
+// materialized suspect, for every chunk size and worker count, on both
+// a clean and an attacked suspect, whether the segments come from the
+// table, from CSV ingest or from the table as one segment (Detect).
 func TestDetectStreamMatchesDetect(t *testing.T) {
 	tbl := testData(t, 4500)
 	key := crypt.NewWatermarkKeyFromSecret("owner", 25)
@@ -87,18 +136,15 @@ func TestDetectStreamMatchesDetect(t *testing.T) {
 			"clean":    prot.Table,
 			"attacked": alteredLeak(t, fw, prot),
 		} {
-			want, err := fw.Detect(suspect, prot.Provenance, key)
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := wholeScanDetect(t, fw, suspect, prot.Provenance, key)
 			for src, segments := range sources(t, suspect, 1, 512, 4000) {
 				got, err := fw.DetectStream(context.Background(), segments(), prot.Provenance, key)
 				if err != nil {
 					t.Fatalf("%s workers=%d %s: %v", name, workers, src, err)
 				}
-				if !reflect.DeepEqual(got.Detection, *want) {
-					t.Fatalf("%s workers=%d %s: streamed detection diverged\n  stream: %+v\n  memory: %+v",
-						name, workers, src, got.Detection, *want)
+				if !reflect.DeepEqual(got.Detection, want) {
+					t.Fatalf("%s workers=%d %s: streamed detection diverged\n  stream: %+v\n  whole scan: %+v",
+						name, workers, src, got.Detection, want)
 				}
 				if got.Rows != suspect.NumRows() {
 					t.Fatalf("rows = %d, want %d", got.Rows, suspect.NumRows())
@@ -108,12 +154,13 @@ func TestDetectStreamMatchesDetect(t *testing.T) {
 	}
 }
 
-// TestTracebackStreamMatchesTraceback pins the traceback twin over a
-// streamed, attacked suspect: the ranked report — verdicts, match
-// ratios, confidences, culprit — is bit-identical to TracebackContext
-// over the materialized leak, for every chunk size and worker count,
-// from the table's segments and from CSV ingest, and still names the
-// leaking recipient.
+// TestTracebackStreamMatchesTraceback pins segmentation invariance over
+// a streamed, attacked suspect: the ranked report — verdicts, match
+// ratios, confidences, culprit — is bit-identical to Traceback (the leak
+// as one segment) for every chunk size and worker count, from the
+// table's segments and from CSV ingest, and still names the leaking
+// recipient. TestTracebackMatchesIndependentDetect checks the verdicts
+// themselves against independent detections.
 func TestTracebackStreamMatchesTraceback(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		fw, results := fingerprintFixtureRows(t, workers, 4500, "hospital-a", "hospital-b", "hospital-c")
@@ -124,7 +171,7 @@ func TestTracebackStreamMatchesTraceback(t *testing.T) {
 			t.Fatal(err)
 		}
 		if want.Culprit != "hospital-b" {
-			t.Fatalf("in-memory culprit = %q, want hospital-b", want.Culprit)
+			t.Fatalf("Traceback culprit = %q, want hospital-b", want.Culprit)
 		}
 		for src, segments := range sources(t, leak, 1, 512, 4000) {
 			got, err := fw.TracebackStream(context.Background(), segments(), cands)
@@ -132,7 +179,7 @@ func TestTracebackStreamMatchesTraceback(t *testing.T) {
 				t.Fatalf("workers=%d %s: %v", workers, src, err)
 			}
 			if !reflect.DeepEqual(got.Traceback, *want) {
-				t.Fatalf("workers=%d %s: streamed traceback diverged\n  stream: %+v\n  memory: %+v",
+				t.Fatalf("workers=%d %s: streamed traceback diverged\n  stream: %+v\n  whole: %+v",
 					workers, src, got.Traceback, *want)
 			}
 			if got.Rows != leak.NumRows() {
@@ -144,7 +191,7 @@ func TestTracebackStreamMatchesTraceback(t *testing.T) {
 
 // TestTracebackStreamMixedPlanGroups exercises the per-segment shared
 // state across distinct frontier groups: candidates from two unrelated
-// plans, streamed verdicts equal to the in-memory ones.
+// plans, verdicts over 300-row segments equal to those over one.
 func TestTracebackStreamMixedPlanGroups(t *testing.T) {
 	fw, results := fingerprintFixture(t, 0, "h-a", "h-b")
 	cands := candidatesOf(results)
@@ -166,7 +213,7 @@ func TestTracebackStreamMixedPlanGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.Traceback, *want) {
-		t.Fatalf("mixed-group streamed traceback diverged\n  stream: %+v\n  memory: %+v", got.Traceback, *want)
+		t.Fatalf("mixed-group streamed traceback diverged\n  stream: %+v\n  whole: %+v", got.Traceback, *want)
 	}
 	if got.Culprit != "h-a" {
 		t.Errorf("culprit = %q, want h-a", got.Culprit)
@@ -287,6 +334,9 @@ func TestReadStreamValidation(t *testing.T) {
 	badProv.IdentCol = "no-such-column"
 	if _, err := fw.DetectStream(context.Background(), prot.Table.Segments(0), badProv, key); !errors.Is(err, ErrBadSchema) {
 		t.Errorf("bad ident column: %v", err)
+	}
+	if _, err := fw.Detect(prot.Table, badProv, key); !errors.Is(err, ErrBadSchema) {
+		t.Errorf("bad ident column, in-memory: %v", err)
 	}
 	cand := Candidate{ID: "a", Provenance: prot.Provenance, Key: key}
 	if _, err := fw.TracebackStream(context.Background(), nil, []Candidate{cand}); !errors.Is(err, ErrBadConfig) {
@@ -417,9 +467,9 @@ func (s *cutSegments) Next() (*relation.Table, error) {
 }
 
 // FuzzDetectStreamSegments differentially fuzzes the streamed detector
-// against the in-memory one: each fuzz input encodes an adversarial
+// against the whole-table scan: each fuzz input encodes an adversarial
 // sequence of segment lengths, and the streamed votes must reproduce
-// the in-memory detection bit for bit no matter where the suspect is
+// the whole-table detection bit for bit no matter where the suspect is
 // cut.
 func FuzzDetectStreamSegments(f *testing.F) {
 	fw, err := New(ontology.Trees(), Config{K: 15, AutoEpsilon: true, Workers: 3})
@@ -435,10 +485,7 @@ func FuzzDetectStreamSegments(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	want, err := fw.Detect(prot.Table, prot.Provenance, key)
-	if err != nil {
-		f.Fatal(err)
-	}
+	want := wholeScanDetect(f, fw, prot.Table, prot.Provenance, key)
 
 	f.Add([]byte{1})
 	f.Add([]byte{0, 255, 3})
@@ -465,8 +512,8 @@ func FuzzDetectStreamSegments(f *testing.F) {
 		if err != nil {
 			t.Fatalf("cuts %v: %v", cuts, err)
 		}
-		if !reflect.DeepEqual(got.Detection, *want) {
-			t.Fatalf("cuts %v: streamed detection diverged from in-memory", cuts)
+		if !reflect.DeepEqual(got.Detection, want) {
+			t.Fatalf("cuts %v: streamed detection diverged from the whole-table scan", cuts)
 		}
 	})
 }

@@ -77,7 +77,7 @@ func Open(path string) (*FileStore, error) {
 	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("jobs: decoding %s: %w", path, err)
 	}
-	if dec.More() {
+	if len(bytes.Trim(data[dec.InputOffset():], " \t\r\n")) > 0 {
 		return nil, fmt.Errorf("jobs: trailing data after document in %s", path)
 	}
 	if doc.Version != FormatVersion {

@@ -147,3 +147,74 @@ func TestStorePutValidates(t *testing.T) {
 		t.Fatal("job with invalid state accepted")
 	}
 }
+
+// TestStoreTrailingData: Open accepts only whitespace after the
+// document; a stray closing bracket or brace must not load.
+func TestStoreTrailingData(t *testing.T) {
+	const doc = `{"jobs_version":1,"jobs":[]}`
+	for _, tc := range []struct {
+		name, tail string
+		ok         bool
+	}{
+		{"bracket", "]", false},
+		{"brace", "}", false},
+		{"letter", "x", false},
+		{"whitespace", " \t\r\n ", true},
+		{"newline", "\n", true},
+	} {
+		path := filepath.Join(t.TempDir(), "jobs.json")
+		if err := os.WriteFile(path, []byte(doc+tc.tail), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path); (err == nil) != tc.ok {
+			t.Errorf("%s: Open = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// FuzzJobsOpen feeds arbitrary bytes to Open as a store file. Open must
+// never panic, and a store it loads must survive one persist and
+// reopen: the reopened store persists to the same bytes.
+func FuzzJobsOpen(f *testing.F) {
+	f.Add([]byte(`{"jobs_version":1,"jobs":[{"id":"j-1","kind":"protect","state":"queued","attempts":0,` +
+		`"max_attempts":3,"created_at":"2026-08-07T09:00:00Z","request":{"table":"x"}}]}`))
+	f.Add([]byte(`{"jobs_version":1,"jobs":[]}]`))
+	// One file per fuzz process: inputs run one at a time in each.
+	path := filepath.Join(f.TempDir(), "jobs.json")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(path)
+		if err != nil {
+			return
+		}
+		first := persistAndRead(t, s)
+		re, err := Open(path)
+		if err != nil {
+			t.Fatalf("reopening a persisted store: %v", err)
+		}
+		if re.Len() != s.Len() {
+			t.Fatalf("reopened %d jobs, want %d", re.Len(), s.Len())
+		}
+		if second := persistAndRead(t, re); !bytes.Equal(first, second) {
+			t.Fatalf("persist is not a fixed point:\n%s\nvs\n%s", first, second)
+		}
+	})
+}
+
+// persistAndRead writes s to its file and returns the file's bytes.
+func persistAndRead(t *testing.T, s *FileStore) []byte {
+	t.Helper()
+	s.mu.Lock()
+	err := s.persistLocked()
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatalf("persisting a loaded store: %v", err)
+	}
+	data, err := os.ReadFile(s.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}

@@ -103,14 +103,8 @@ func TestCtxAt(t *testing.T) {
 }
 
 func TestCtxVariantsMatchPlainOnBackground(t *testing.T) {
-	// The plain helpers delegate to the ctx forms with Background; a
-	// completed run must never surface a non-nil error from the ctx path.
-	if err := ForEach(4, 100, func(i int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := ForEachChunk(4, 100, func(si, lo, hi int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
+	// Map delegates to MapCtx with Background; a completed run must
+	// never surface a non-nil error from the ctx path.
 	if _, err := Map(4, 100, func(i int) (int, error) { return i, nil }); err != nil {
 		t.Fatal(err)
 	}

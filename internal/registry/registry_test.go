@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -19,7 +21,7 @@ const testSecret = "registry master secret"
 
 // testRecords fingerprints a small table for the given recipients and
 // returns their registry records.
-func testRecords(t *testing.T, ids ...string) []Record {
+func testRecords(t testing.TB, ids ...string) []Record {
 	t.Helper()
 	fw, err := core.New(ontology.Trees(), core.Config{K: 15, AutoEpsilon: true})
 	if err != nil {
@@ -134,6 +136,94 @@ func TestOpenRejectsBadDocuments(t *testing.T) {
 			t.Errorf("%s: bad document accepted", name)
 		}
 	}
+}
+
+// TestOpenTrailingData: Open accepts only whitespace after the
+// document; a stray closing bracket or brace must not load.
+func TestOpenTrailingData(t *testing.T) {
+	const doc = `{"registry_version":1,"recipients":[]}`
+	for _, tc := range []struct {
+		name, tail string
+		ok         bool
+	}{
+		{"bracket", "]", false},
+		{"brace", "}", false},
+		{"letter", "x", false},
+		{"whitespace", " \t\r\n ", true},
+		{"newline", "\n", true},
+	} {
+		path := filepath.Join(t.TempDir(), "reg.json")
+		if err := os.WriteFile(path, []byte(doc+tc.tail), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path); (err == nil) != tc.ok {
+			t.Errorf("%s: Open = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// FuzzRegistryOpen feeds arbitrary bytes to Open as a registry file.
+// Open must never panic, and a registry it loads must survive one
+// persist and reopen: the reopened registry persists to the same bytes.
+func FuzzRegistryOpen(f *testing.F) {
+	seed := filepath.Join(f.TempDir(), "seed.json")
+	s, err := Open(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := s.PutAll(testRecords(f, "hospital-a")); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// Compacted: with the indentation, minimizing an input that loads
+	// spends its budget persisting one whitespace deletion after another.
+	var valid bytes.Buffer
+	if err := json.Compact(&valid, data); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add([]byte(`{"registry_version":1,"recipients":[]}]`))
+	// One file per fuzz process: inputs run one at a time in each.
+	path := filepath.Join(f.TempDir(), "reg.json")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(path)
+		if err != nil {
+			return
+		}
+		first := persistAndRead(t, s)
+		re, err := Open(path)
+		if err != nil {
+			t.Fatalf("reopening a persisted registry: %v", err)
+		}
+		if re.Len() != s.Len() {
+			t.Fatalf("reopened %d records, want %d", re.Len(), s.Len())
+		}
+		if second := persistAndRead(t, re); !bytes.Equal(first, second) {
+			t.Fatalf("persist is not a fixed point:\n%s\nvs\n%s", first, second)
+		}
+	})
+}
+
+// persistAndRead writes s to its file and returns the file's bytes.
+func persistAndRead(t *testing.T, s *Store) []byte {
+	t.Helper()
+	s.mu.Lock()
+	err := s.persistLocked()
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatalf("persisting a loaded registry: %v", err)
+	}
+	data, err := os.ReadFile(s.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 func TestPutRejectsInvalidRecords(t *testing.T) {

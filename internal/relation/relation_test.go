@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -208,15 +210,6 @@ func TestDeleteRows(t *testing.T) {
 	}
 }
 
-func TestDeleteWhere(t *testing.T) {
-	tbl := testTable(t)
-	ci, _ := tbl.Schema().Index("doctor")
-	n := tbl.DeleteWhere(func(row []string) bool { return row[ci] == "Nurse" })
-	if n != 2 || tbl.NumRows() != 2 {
-		t.Errorf("DeleteWhere removed %d, left %d", n, tbl.NumRows())
-	}
-}
-
 func TestSlice(t *testing.T) {
 	tbl := testTable(t)
 	mid, err := tbl.Slice(1, 3)
@@ -267,22 +260,24 @@ func TestAppendTable(t *testing.T) {
 	}
 }
 
+// TestShuffleAndSort: Shuffle moves whole rows, so sorting the shuffled
+// rows back by ssn restores the original table.
 func TestShuffleAndSort(t *testing.T) {
 	tbl := testTable(t)
 	tbl.Shuffle(rand.New(rand.NewSource(3)))
 	if tbl.NumRows() != 4 {
 		t.Fatal("shuffle changed row count")
 	}
-	if err := tbl.SortByColumn("ssn"); err != nil {
-		t.Fatal(err)
+	rows := make([][]string, tbl.NumRows())
+	for i := range rows {
+		rows[i] = tbl.Row(i)
 	}
-	for i, want := range []string{"s1", "s2", "s3", "s4"} {
-		if v, _ := tbl.Cell(i, "ssn"); v != want {
-			t.Errorf("row %d ssn = %s, want %s", i, v, want)
+	sort.Slice(rows, func(i, j int) bool { return rows[i][0] < rows[j][0] })
+	orig := testTable(t)
+	for i, row := range rows {
+		if want := orig.Row(i); !reflect.DeepEqual(row, want) {
+			t.Errorf("sorted row %d = %v, want %v", i, row, want)
 		}
-	}
-	if err := tbl.SortByColumn("missing"); err == nil {
-		t.Error("missing-column sort accepted")
 	}
 }
 
@@ -355,37 +350,6 @@ func TestCSVErrors(t *testing.T) {
 	}
 }
 
-func TestSortByColumnNumeric(t *testing.T) {
-	// Regression: lexicographic sorting put "10" before "9". QuasiNumeric
-	// columns must sort by magnitude.
-	tbl := NewTable(testSchema(t))
-	ages := []string{"10", "9", "100", "23", "9", "invalid", "4.5"}
-	for i, age := range ages {
-		if err := tbl.AppendRow([]string{fmt.Sprintf("s%d", i), age, "Nurse", "x"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tbl.SortByColumn("age"); err != nil {
-		t.Fatal(err)
-	}
-	want := []string{"4.5", "9", "9", "10", "23", "100", "invalid"}
-	for i, w := range want {
-		if v, _ := tbl.Cell(i, "age"); v != w {
-			t.Errorf("row %d age = %q, want %q", i, v, w)
-		}
-	}
-	// Stability: the two 9s keep their original relative order (s1 then s4).
-	a, _ := tbl.Cell(1, "ssn")
-	b, _ := tbl.Cell(2, "ssn")
-	if a != "s1" || b != "s4" {
-		t.Errorf("equal keys reordered: %s, %s", a, b)
-	}
-	// Non-numeric column kinds still sort lexicographically.
-	if err := tbl.SortByColumn("doctor"); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCodeAccessors(t *testing.T) {
 	tbl := testTable(t)
 	ci, _ := tbl.Schema().Index("doctor")
@@ -455,26 +419,6 @@ func TestRowViewAndChunks(t *testing.T) {
 	wantErr := fmt.Errorf("stop")
 	if err := tbl.ForEachRowChunk(1, func(lo, hi int) error { return wantErr }); err != wantErr {
 		t.Errorf("chunk error = %v", err)
-	}
-}
-
-func TestAppendCodes(t *testing.T) {
-	tbl := testTable(t)
-	codes := []uint32{tbl.CodeAt(0, 0), tbl.CodeAt(1, 1), tbl.CodeAt(2, 2), tbl.CodeAt(3, 3)}
-	if err := tbl.AppendCodes(codes); err != nil {
-		t.Fatal(err)
-	}
-	if tbl.NumRows() != 5 {
-		t.Fatalf("NumRows = %d", tbl.NumRows())
-	}
-	if got := tbl.Row(4); got[0] != "s1" || got[1] != "67" || got[2] != "Clerk" || got[3] != "d" {
-		t.Errorf("appended row = %v", got)
-	}
-	if err := tbl.AppendCodes([]uint32{0}); err == nil {
-		t.Error("short code row accepted")
-	}
-	if err := tbl.AppendCodes([]uint32{0, 0, 0, 99}); err == nil {
-		t.Error("out-of-range code accepted")
 	}
 }
 

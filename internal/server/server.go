@@ -504,8 +504,9 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) (int, erro
 // runDetect is the transport-free core of POST /v1/detect's JSON mode,
 // shared by the synchronous handler and the async "detect" job runner.
 // A CSV-sourced suspect streams through core.DetectStream segment by
-// segment instead of materializing; an inline row payload takes the
-// in-memory path. Both produce the identical verdict.
+// segment instead of materializing; an inline row payload is decoded
+// to a table, which DetectContext runs through the same DetectStream as
+// one segment, so the verdict is bit-identical by construction.
 func (s *Server) runDetect(ctx context.Context, req api.DetectRequest) (api.DetectResponse, error) {
 	var zero api.DetectResponse
 	if req.Options == nil {
@@ -825,7 +826,9 @@ func (s *Server) runTraceback(ctx context.Context, req api.TracebackRequest) (ap
 	}
 	if req.Table.CSV != "" && len(req.Table.Rows) == 0 {
 		// CSV-sourced suspects stream through core.TracebackStream segment
-		// by segment; the verdict is bit-identical to the in-memory path.
+		// by segment. Inline rows go through TracebackContext, the same
+		// TracebackStream over the table as one segment, so the verdicts
+		// are bit-identical by construction.
 		schema, err := api.SchemaOf(req.Table.Columns)
 		if err != nil {
 			return zero, badRequest(err)

@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -183,6 +184,78 @@ func TestOpenRejectsBadFiles(t *testing.T) {
 			t.Errorf("%s: Open accepted a bad file", name)
 		}
 	}
+}
+
+// TestOpenTrailingData: Open accepts only whitespace after the
+// document; a stray closing bracket or brace must not load.
+func TestOpenTrailingData(t *testing.T) {
+	const doc = `{"tenants_version":1,"tenants":[]}`
+	for _, tc := range []struct {
+		name, tail string
+		ok         bool
+	}{
+		{"bracket", "]", false},
+		{"brace", "}", false},
+		{"letter", "x", false},
+		{"whitespace", " \t\r\n ", true},
+		{"newline", "\n", true},
+	} {
+		path := filepath.Join(t.TempDir(), "tenants.json")
+		if err := os.WriteFile(path, []byte(doc+tc.tail), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path); (err == nil) != tc.ok {
+			t.Errorf("%s: Open = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
+// FuzzTenantOpen feeds arbitrary bytes to Open as a tenant store file.
+// Open must never panic, and a store it loads must survive one persist
+// and reopen: the reopened store persists to the same bytes.
+func FuzzTenantOpen(f *testing.F) {
+	_, hash := NewToken()
+	f.Add([]byte(`{"tenants_version":1,"tenants":[{"id":"clinic","name":"Clinic","role":"member","token_sha256":"` + hash +
+		`","quota":{"requests_per_minute":120},"created_at":"2026-08-07T00:00:00Z"}]}`))
+	f.Add([]byte(`{"tenants_version":1,"tenants":[]}]`))
+	// One file per fuzz process: inputs run one at a time in each.
+	path := filepath.Join(f.TempDir(), "tenants.json")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(path)
+		if err != nil {
+			return
+		}
+		first := persistAndRead(t, s)
+		re, err := Open(path)
+		if err != nil {
+			t.Fatalf("reopening a persisted store: %v", err)
+		}
+		if re.Len() != s.Len() {
+			t.Fatalf("reopened %d tenants, want %d", re.Len(), s.Len())
+		}
+		if second := persistAndRead(t, re); !bytes.Equal(first, second) {
+			t.Fatalf("persist is not a fixed point:\n%s\nvs\n%s", first, second)
+		}
+	})
+}
+
+// persistAndRead writes s to its file and returns the file's bytes.
+func persistAndRead(t *testing.T, s *Store) []byte {
+	t.Helper()
+	s.mu.Lock()
+	err := s.persistLocked()
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatalf("persisting a loaded store: %v", err)
+	}
+	data, err := os.ReadFile(s.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 func TestEffectiveBurst(t *testing.T) {

@@ -16,7 +16,7 @@ import (
 // detection for every registered recipient against one suspect table;
 // preparing the suspect once means that work is paid once, not once per
 // candidate. A Suspect is read-only after construction and safe for
-// concurrent DetectContext calls.
+// concurrent AccumulateContext calls.
 type Suspect struct {
 	tbl                 *relation.Table
 	identIdx            int
@@ -28,7 +28,7 @@ type Suspect struct {
 // PrepareSuspectContext builds the shared detection state over tbl for
 // the given column specs and embedding policy (the two Params fields the
 // verdict tables depend on). Virtual-identifier detection is not
-// supported here — it stays on the plain DetectContext path.
+// supported here — it stays on the whole-table DetectContext path.
 func PrepareSuspectContext(ctx context.Context, tbl *relation.Table, identCol string, columns map[string]ColumnSpec, boundaryPermutation, weightedVoting bool, workers int) (*Suspect, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -138,37 +138,14 @@ func selectTuples(ctx context.Context, tbl *relation.Table, identIdx int, k1 []b
 // Selected returns the number of tuples the selection holds.
 func (sel *Selection) Selected() int { return len(sel.rows) }
 
-// DetectContext recovers one candidate's mark over the prepared suspect
-// using a precomputed selection: only K2 position hashing and vote
-// accumulation remain per candidate. The recovered mark, confidence and
-// statistics are identical to the plain DetectContext under the same
-// parameters. The scan is sequential — traceback parallelizes across
-// candidates instead of inside one.
-func (s *Suspect) DetectContext(ctx context.Context, sel *Selection, p Params) (DetectResult, error) {
-	var res DetectResult
-	if err := p.validate(); err != nil {
-		return res, err
-	}
-	board := bitstr.NewVoteBoard(p.wmdLen())
-	if err := s.AccumulateContext(ctx, sel, p, board, &res.Stats); err != nil {
-		return res, err
-	}
-	folded, err := board.FoldInto(p.Mark.Len())
-	if err != nil {
-		return res, err
-	}
-	res.Mark = folded.Resolve()
-	res.Confidence = folded.Confidence()
-	return res, nil
-}
-
 // AccumulateContext harvests one candidate's votes over the prepared
 // suspect into a caller-owned replicated board (length |wmd|) and
 // counter set, without folding — the per-segment step of a streamed
 // traceback, where one persistent board per candidate accumulates
-// across suspect segments and folds once at end-of-stream. It is also
-// DetectContext's whole-table scan: calling it once and folding
-// reproduces DetectContext exactly.
+// across suspect segments and folds once at end-of-stream. Calling it
+// once over a whole table and folding reproduces DetectContext under
+// the same parameters exactly. The walk is sequential — traceback
+// parallelizes across candidates instead of inside one.
 func (s *Suspect) AccumulateContext(ctx context.Context, sel *Selection, p Params, board *bitstr.VoteBoard, stats *DetectStats) error {
 	if err := p.validate(); err != nil {
 		return err

@@ -103,10 +103,12 @@ type (
 // Framework.AppendStream protect tables segment-at-a-time with peak
 // memory bounded by the segment size (Config.Chunk / WithChunk), and
 // their CSV output is byte-identical to the in-memory Apply/Append.
-// The read side streams too — Framework.DetectStream and
-// Framework.TracebackStream consume a suspect segment-at-a-time with
-// bit-identical verdicts — and Framework.FingerprintStream fans one
-// shared transform out to N recipient CSV writers.
+// The read side has one implementation: Framework.DetectStream and
+// Framework.TracebackStream consume a suspect segment-at-a-time, and
+// Detect and Traceback run them over the table as its own single
+// segment, so their verdicts are bit-identical by construction.
+// Framework.FingerprintStream fans one shared transform out to N
+// recipient CSV writers.
 type (
 	// Segments is the streaming table source the Stream entry points
 	// consume: NewSegmentReader (CSV ingest) and Table.Segments (an
@@ -120,11 +122,10 @@ type (
 	// byte-identical to the in-memory Plan's.
 	PlannedStream = core.PlannedStream
 	// DetectStreamed is Framework.DetectStream's outcome: the detection
-	// verdict (bit-identical to Detect's) plus ingest counters.
+	// verdict plus ingest counters.
 	DetectStreamed = core.DetectStreamed
 	// TracebackStreamed is Framework.TracebackStream's outcome: the
-	// ranked verdicts (bit-identical to Traceback's) plus ingest
-	// counters.
+	// ranked verdicts plus ingest counters.
 	TracebackStreamed = core.TracebackStreamed
 	// FingerprintStreamed is one recipient's outcome of
 	// Framework.FingerprintStream: identity plus the copy's plan and
